@@ -1,4 +1,4 @@
-.PHONY: check check-par bench bench-par bench-io bench-space bench-frontier bench-serve bench-multicore bench-hotpath bench-lsm serve-smoke chaos-smoke fault-matrix clean
+.PHONY: check check-par bench bench-par bench-io bench-space bench-frontier bench-serve bench-multicore bench-hotpath bench-lsm serve-smoke chaos-smoke fault-matrix perfbench-selftest clean
 
 check:
 	dune build @all
@@ -14,13 +14,14 @@ bench:
 bench-par:
 	dune exec bench/main.exe -- par
 
-# Persistence: legacy marshal load vs mmap open; writes BENCH_IO.json.
+# Persistence: save time, file size and load-to-first-query latency of
+# the mmap open (checksummed and ~verify:false); writes BENCH_IO.json.
 bench-io:
 	dune exec bench/main.exe -- io
 
-# Space–latency frontier: packed PTI-ENGINE-4 vs 64-bit V3 vs succinct
-# containers (words/position, open time, query latency on the same
-# workload, every succinct answer verified against the packed twin);
+# Space–latency frontier: packed vs succinct PTI-ENGINE-4 containers
+# (words/position, open time, query latency on the same workload,
+# every succinct answer verified against the packed twin);
 # writes BENCH_SPACE.json. bench-frontier is the same experiment under
 # its frontier alias.
 bench-space:
@@ -81,6 +82,12 @@ chaos-smoke:
 fault-matrix:
 	dune build bin/pti.exe
 	scripts/fault_matrix.sh
+
+# The live-daemon benchmark's own self-test (perfbench/selftest.py):
+# every workload at a tiny size, reply corruption caught, and a
+# checkout without the program refused. About a minute.
+perfbench-selftest:
+	python3 perfbench/selftest.py
 
 clean:
 	dune clean

@@ -251,35 +251,38 @@ let json_str s =
   Buffer.add_char b '"';
   Buffer.contents b
 
+(* Open [path] for [pti stats]: a file that is not an intact container
+   fails with a one-line message naming the path. *)
+let open_container path =
+  try S.Reader.open_file ~verify:false path
+  with S.Corrupt { section; reason } ->
+    failwith
+      (Printf.sprintf "%s: not a readable %s container (section %s: %s)" path
+         (String.trim S.magic) section reason)
+
 (* Section table of a saved container: name, kind, element width,
    sentinel bias, bytes, element count, checksum status. *)
 let container_stats path =
-  if not (S.file_has_magic path) then
-    failwith
-      (path
-     ^ ": not a PTI-ENGINE container (legacy marshal files have no section \
-        table)");
-  let r = S.Reader.open_file ~verify:false path in
+  let r = open_container path in
   let infos = S.Reader.table r in
   let payload =
     List.fold_left (fun a i -> a + i.S.Reader.si_bytes) 0 infos
   in
   let file_bytes = (Unix.stat path).Unix.st_size in
-  Printf.printf "container:  PTI-ENGINE-%d  %s\n" (S.Reader.version r) path;
+  Printf.printf "container:  %s  %s\n" (String.trim S.magic) path;
   Printf.printf "sections:   %d  (%s payload, %s file)\n" (List.length infos)
     (Pti_core.Space.bytes_to_string payload)
     (Pti_core.Space.bytes_to_string file_bytes);
   (* engine containers: backend kind + space-per-position summary *)
   (if S.Reader.has r "meta" then
      let meta = S.Reader.ints r "meta" in
-     let arity = S.Ints.length meta in
-     if arity = 2 || arity = 3 then begin
+     if S.Ints.length meta = 3 then begin
        let n = S.Ints.get meta 0 in
        let backend =
-         match (arity, if arity = 3 then S.Ints.get meta 2 else 0) with
-         | _, 0 -> "packed"
-         | _, 1 -> "succinct"
-         | _, k -> Printf.sprintf "unknown(%d)" k
+         match S.Ints.get meta 2 with
+         | 0 -> "packed"
+         | 1 -> "succinct"
+         | k -> Printf.sprintf "unknown(%d)" k
        in
        Printf.printf "backend:    %s  (%.2f words/position over %d positions)\n"
          backend
@@ -313,9 +316,7 @@ let dataset_stats input tau_min =
   Printf.printf "engine:         %s\n" (Pti_core.Engine.stats (G.engine g))
 
 let container_stats_json path =
-  if not (S.file_has_magic path) then
-    failwith (path ^ ": not a PTI-ENGINE container");
-  let r = S.Reader.open_file ~verify:false path in
+  let r = open_container path in
   let infos = S.Reader.table r in
   let payload = List.fold_left (fun a i -> a + i.S.Reader.si_bytes) 0 infos in
   let file_bytes = (Unix.stat path).Unix.st_size in
@@ -332,8 +333,8 @@ let container_stats_json path =
          infos)
   in
   Printf.printf
-    {|{"container":"PTI-ENGINE-%d","path":%s,"payload_bytes":%d,"file_bytes":%d,"sections":[%s]}|}
-    (S.Reader.version r) (json_str path) payload file_bytes sections;
+    {|{"container":%s,"path":%s,"payload_bytes":%d,"file_bytes":%d,"sections":[%s]}|}
+    (json_str (String.trim S.magic)) (json_str path) payload file_bytes sections;
   print_newline ()
 
 (* Shared by [pti stats DIR] and [pti corpus stats DIR]. *)

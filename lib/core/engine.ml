@@ -171,83 +171,13 @@ let or_value entries =
   if v <= 0.0 then neg_infinity else Float.min 0.0 (log v)
 
 (* The level-[level] metric value of suffix-array slot [j]: what the
-   per-level RMQs index. Shared between construction, legacy rebuild and
-   mmap reopen so every path attaches the same oracle. *)
+   per-level RMQs index. Shared between construction and mmap reopen so
+   both paths attach the same oracle. *)
 let make_level_value ~metric ~dead ~stored ~slot_value level j =
   match metric with
   | Max ->
       if S.Bits.get dead.(level - 1) j then neg_infinity else slot_value j level
   | Or_metric -> S.Floats.get stored.(level - 1) j
-
-(* Everything persistent about an engine except the RMQ structures, with
-   every array already in storage form. [finish] turns this into a
-   query-ready engine by (re)building the RMQs — O(N) per level, used by
-   [build] and by the legacy-format load; the mmap path reopens the
-   persisted RMQs instead. *)
-type pieces = {
-  c_cfg : config;
-  c_backend : backend;
-  c_tr : Transform.t;
-  c_sa : S.ints;
-  c_lcp : S.ints;
-  c_max_short : int;
-  c_dead : S.Bits.t array;
-  c_stored : S.floats array;
-  c_ladder_sizes : int array;
-  c_ladder_max : S.floats array;
-  c_fm : Pti_succinct.Fm_index.t option;
-  c_st : Pti_suffix.Suffix_tree.t option;
-}
-
-(* The per-level RMQ structures are mutually independent (each reads
-   only its own dead bitmap / stored array plus shared read-only data),
-   as are the per-size ladder RMQs, so both builds shard levels across
-   the domain pool. *)
-let finish ?domains ~key_of_pos pieces =
-  let tr = pieces.c_tr in
-  let text = Transform.text_storage tr in
-  let pos = Transform.pos_storage tr in
-  let n = S.Ints.length text in
-  let sa = pieces.c_sa in
-  let config = pieces.c_cfg in
-  let dead = pieces.c_dead and stored = pieces.c_stored in
-  let slot_value j len = slot_value_raw ~tr ~pos ~sa ~n j len in
-  let level_value =
-    make_level_value ~metric:config.metric ~dead ~stored ~slot_value
-  in
-  let level_rmq =
-    Par.parallel_map_array ?domains ~chunk:1
-      (fun k ->
-        Rmq.build_oracle config.rmq_kind ~value:(level_value (k + 1)) ~len:n)
-      (Array.init pieces.c_max_short (fun k -> k))
-  in
-  let ladder_rmq =
-    Par.parallel_map_array ?domains ~chunk:1
-      (fun pb ->
-        Rmq.build_oracle config.rmq_kind ~value:(S.Floats.get pb)
-          ~len:(S.Floats.length pb))
-      pieces.c_ladder_max
-  in
-  {
-    tr;
-    cfg = config;
-    backend = pieces.c_backend;
-    key_of_pos;
-    text;
-    pos;
-    sa;
-    lcp = pieces.c_lcp;
-    n;
-    max_short = pieces.c_max_short;
-    dead;
-    stored;
-    level_rmq;
-    ladder_sizes = pieces.c_ladder_sizes;
-    ladder_rmq;
-    ladder_max = pieces.c_ladder_max;
-    fm = pieces.c_fm;
-    st = pieces.c_st;
-  }
 
 let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
     tr =
@@ -375,21 +305,49 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
     | Rs_tree -> Some (Pti_suffix.Suffix_tree.build ~sa ~lcp ~text_len:n)
     | Rs_binary | Rs_fm -> None
   in
-  finish ?domains ~key_of_pos
-    {
-      c_cfg = config;
-      c_backend = backend;
-      c_tr = tr;
-      c_sa = sa_s;
-      c_lcp = S.Ints.of_array lcp;
-      c_max_short = max_short;
-      c_dead = Array.map S.Bits.of_bytes dead;
-      c_stored = Array.map S.Floats.of_array stored;
-      c_ladder_sizes = ladder_sizes;
-      c_ladder_max = Array.map S.Floats.of_array ladder_max;
-      c_fm = fm;
-      c_st = st;
-    }
+  let dead = Array.map S.Bits.of_bytes dead in
+  let stored = Array.map S.Floats.of_array stored in
+  let ladder_max = Array.map S.Floats.of_array ladder_max in
+  (* The per-level RMQ structures are mutually independent (each reads
+     only its own dead bitmap / stored array plus shared read-only
+     data), as are the per-size ladder RMQs, so both builds shard levels
+     across the domain pool. *)
+  let level_value =
+    make_level_value ~metric:config.metric ~dead ~stored ~slot_value
+  in
+  let level_rmq =
+    Par.parallel_map_array ?domains ~chunk:1
+      (fun k ->
+        Rmq.build_oracle config.rmq_kind ~value:(level_value (k + 1)) ~len:n)
+      (Array.init max_short (fun k -> k))
+  in
+  let ladder_rmq =
+    Par.parallel_map_array ?domains ~chunk:1
+      (fun pb ->
+        Rmq.build_oracle config.rmq_kind ~value:(S.Floats.get pb)
+          ~len:(S.Floats.length pb))
+      ladder_max
+  in
+  {
+    tr;
+    cfg = config;
+    backend;
+    key_of_pos;
+    text = Transform.text_storage tr;
+    pos = pos_s;
+    sa = sa_s;
+    lcp = S.Ints.of_array lcp;
+    n;
+    max_short;
+    dead;
+    stored;
+    level_rmq;
+    ladder_sizes;
+    ladder_rmq;
+    ladder_max;
+    fm;
+    st;
+  }
 
 let transform t = t.tr
 let config t = t.cfg
@@ -574,7 +532,7 @@ let query_top_k t ~pattern ~tau ~k =
   List.of_seq (Seq.take k (stream t ~pattern ~tau))
 
 (* Queries only read the engine (suffix/LCP arrays, RMQ structures,
-   bitmaps, the transform — all immutable after [finish]); per-query
+   bitmaps, the transform — all immutable after [build]); per-query
    traversal state (heaps, hash tables) is allocated locally. So a batch
    shards across the pool with no locking, each query writing only its
    own result slot. *)
@@ -663,8 +621,8 @@ let stats t =
     (size_words t) (Transform.stats t.tr)
 
 (* ------------------------------------------------------------------ *)
-(* Persistence: PTI-ENGINE-4 container format (minimal-width packed
-   sections; ENGINE-3 and legacy ENGINE-2 files still load).
+(* Persistence: the PTI-ENGINE-4 container format (minimal-width
+   packed sections).
 
    Every engine array becomes a named section of a {!Pti_storage}
    container; the RMQ index arrays are persisted too, so [load] is a
@@ -672,8 +630,6 @@ let stats t =
    elimination, no RMQ rebuild. Section order is fixed, so saving the
    same engine always produces byte-identical files (the parallel test
    suite relies on this across domain counts). *)
-
-let magic = S.magic
 
 let backend_tag = function Packed -> 0 | Succinct -> 1
 
@@ -715,8 +671,8 @@ let save_to_writer t w =
   | None -> ()
   | Some st -> S.Writer.add_bytes w "st" (Marshal.to_string st [])
 
-let save ?format ?extra t path =
-  let w = S.Writer.create ?format path in
+let save ?extra t path =
+  let w = S.Writer.create path in
   save_to_writer t w;
   (match extra with None -> () | Some f -> f w);
   S.Writer.close w
@@ -724,23 +680,17 @@ let save ?format ?extra t path =
 let open_reader ~key_of_pos r =
   let cfg : config = Marshal.from_string (S.Reader.blob r "cfg") 0 in
   let meta = S.Reader.ints r "meta" in
-  (* arity 2: pre-backend containers, always packed *)
-  if S.Ints.length meta <> 2 && S.Ints.length meta <> 3 then
+  if S.Ints.length meta <> 3 then
     raise (S.Corrupt { section = "meta"; reason = "engine meta has wrong arity" });
   let n = S.Ints.get meta 0 and max_short = S.Ints.get meta 1 in
   let backend =
-    if S.Ints.length meta = 2 then Packed
-    else
-      match S.Ints.get meta 2 with
-      | 0 -> Packed
-      | 1 -> Succinct
-      | k ->
-          raise
-            (S.Corrupt
-               {
-                 section = "meta";
-                 reason = Printf.sprintf "unknown backend tag %d" k;
-               })
+    match S.Ints.get meta 2 with
+    | 0 -> Packed
+    | 1 -> Succinct
+    | k ->
+        raise
+          (S.Corrupt
+             { section = "meta"; reason = Printf.sprintf "unknown backend tag %d" k })
   in
   let tr = Transform.open_parts r in
   let text = Transform.text_storage tr in
@@ -797,22 +747,17 @@ let open_reader ~key_of_pos r =
           ~prefix:(Printf.sprintf "rmq.ladder.%d" (i + 1))
           ~value:(S.Floats.get ladder_max.(i)))
   in
+  (* the configured range search owns its sections: a missing one is
+     corruption, not a silent fallback to binary search *)
   let fm =
-    if S.Reader.has r "fm.meta" then
-      (* current layout: named sections, mapped in place *)
-      Some (Pti_succinct.Fm_index.open_parts r ~prefix:"fm")
-    else if S.Reader.has r "fm" then
-      (* pre-section containers: one Marshal blob of the old heap records *)
-      let legacy : Pti_succinct.Fm_index.Legacy.t =
-        Marshal.from_string (S.Reader.blob r "fm") 0
-      in
-      Some (Pti_succinct.Fm_index.of_legacy legacy)
-    else None
+    match cfg.range_search with
+    | Rs_fm -> Some (Pti_succinct.Fm_index.open_parts r ~prefix:"fm")
+    | Rs_binary | Rs_tree -> None
   in
   let st =
-    if S.Reader.has r "st" then
-      Some (Marshal.from_string (S.Reader.blob r "st") 0)
-    else None
+    match cfg.range_search with
+    | Rs_tree -> Some (Marshal.from_string (S.Reader.blob r "st") 0)
+    | Rs_binary | Rs_fm -> None
   in
   {
     tr;
@@ -835,117 +780,5 @@ let open_reader ~key_of_pos r =
     st;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Legacy PTI-ENGINE-2 format: a magic line followed by one [Marshal]ed
-   record of plain heap arrays; RMQs were rebuilt at every load.
-
-   Deprecated — kept only so pre-existing index files keep loading (and
-   as the baseline of the io benchmark). [Marshal] is structural, so the
-   mirror records below decode files written against the old record
-   definitions. *)
-
-module Legacy = struct
-  type parray = { cum : float array; zeros : int array; logs : float array }
-
-  type transform = {
-    source : Pti_ustring.Ustring.t;
-    tau_min : float;
-    text : int array;
-    pos : int array;
-    parray : parray;
-    n_factors : int;
-    n_skipped : int;
-    has_correlations : bool;
-  }
-
-  type parts = {
-    p_cfg : config;
-    p_tr : transform;
-    p_sa : int array;
-    p_lcp : int array;
-    p_max_short : int;
-    p_dead : Bytes.t array;
-    p_stored : float array array;
-    p_ladder_sizes : int array;
-    p_ladder_max : float array array;
-    p_fm : Pti_succinct.Fm_index.Legacy.t option;
-    p_st : Pti_suffix.Suffix_tree.t option;
-  }
-end
-
-let legacy_magic = "PTI-ENGINE-2\n"
-
-let save_legacy_channel t oc =
-  let cum, zeros, _logs = Pti_prob.Parray.raw (Transform.parray t.tr) in
-  let legacy_tr =
-    {
-      Legacy.source = Transform.source t.tr;
-      tau_min = Transform.tau_min t.tr;
-      text = S.Ints.to_array t.text;
-      pos = S.Ints.to_array t.pos;
-      parray =
-        {
-          Legacy.cum = S.Floats.to_array cum;
-          zeros = S.Ints.to_array zeros;
-          logs = Pti_prob.Parray.raw_logs (Transform.parray t.tr);
-        };
-      n_factors = Transform.n_factors t.tr;
-      n_skipped = Transform.n_skipped t.tr;
-      has_correlations = Transform.has_correlations t.tr;
-    }
-  in
-  let parts =
-    {
-      Legacy.p_cfg = t.cfg;
-      p_tr = legacy_tr;
-      p_sa = S.Ints.to_array t.sa;
-      p_lcp = S.Ints.to_array t.lcp;
-      p_max_short = t.max_short;
-      p_dead = Array.map S.Bits.to_bytes t.dead;
-      p_stored = Array.map S.Floats.to_array t.stored;
-      p_ladder_sizes = t.ladder_sizes;
-      p_ladder_max = Array.map S.Floats.to_array t.ladder_max;
-      p_fm = Option.map Pti_succinct.Fm_index.to_legacy t.fm;
-      p_st = t.st;
-    }
-  in
-  output_string oc legacy_magic;
-  Marshal.to_channel oc parts []
-
-let save_legacy t path =
-  S.atomic_save path (fun oc -> save_legacy_channel t oc)
-
-let load_legacy_channel ?domains ~key_of_pos ic =
-  let buf = really_input_string ic (String.length legacy_magic) in
-  if buf <> legacy_magic then
-    invalid_arg "Engine.load: bad magic (not a pti engine file)";
-  let parts : Legacy.parts = Marshal.from_channel ic in
-  let tr =
-    Transform.of_legacy ~source:parts.p_tr.source ~tau_min:parts.p_tr.tau_min
-      ~text:parts.p_tr.text ~pos:parts.p_tr.pos ~logs:parts.p_tr.parray.logs
-      ~n_factors:parts.p_tr.n_factors ~n_skipped:parts.p_tr.n_skipped
-  in
-  finish ?domains ~key_of_pos
-    {
-      c_cfg = parts.p_cfg;
-      c_backend = Packed;
-      c_tr = tr;
-      c_sa = S.Ints.of_array parts.p_sa;
-      c_lcp = S.Ints.of_array parts.p_lcp;
-      c_max_short = parts.p_max_short;
-      c_dead = Array.map S.Bits.of_bytes parts.p_dead;
-      c_stored = Array.map S.Floats.of_array parts.p_stored;
-      c_ladder_sizes = parts.p_ladder_sizes;
-      c_ladder_max = Array.map S.Floats.of_array parts.p_ladder_max;
-      c_fm = Option.map Pti_succinct.Fm_index.of_legacy parts.p_fm;
-      c_st = parts.p_st;
-    }
-
-let load ?domains ?verify ~key_of_pos path =
-  if S.file_has_magic path then
-    open_reader ~key_of_pos (S.Reader.open_file ?verify path)
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        load_legacy_channel ?domains ~key_of_pos ic)
-  end
+let load ?verify ~key_of_pos path =
+  open_reader ~key_of_pos (S.Reader.open_file ?verify path)

@@ -111,7 +111,7 @@ val config : t -> config
 
 val backend : t -> backend
 (** The layout this engine was built with (or that its container
-    recorded; legacy loads report [Packed]). *)
+    recorded). *)
 
 val max_short : t -> int
 (** ⌈log₂ N⌉: the short/long pattern boundary. *)
@@ -181,62 +181,24 @@ val stats : t -> string
     of N up to the optional checksum pass. Mapped engines are immutable
     and page-cache-shared, so concurrent domains ({!query_batch}) and
     separate OS processes serving the same file share one physical copy.
-    Only the source string and the optional FM-index / suffix tree
-    remain [Marshal] blobs (the source is deserialized lazily, eagerly
-    only for correlated inputs).
+    The configuration, transform metadata, source string and the
+    optional suffix tree remain [Marshal] blobs (the source is
+    deserialized lazily, eagerly only for correlated inputs). *)
 
-    Earlier formats still read transparently through {!load}:
-    "PTI-ENGINE-3" containers (same layout, every element a 64-bit
-    word) and the deprecated "PTI-ENGINE-2" format (one [Marshal]ed
-    record, RMQs rebuilt at load); {!save_legacy} keeps writing the
-    latter for migration tests and the io benchmark baseline. *)
-
-val save :
-  ?format:Pti_storage.format ->
-  ?extra:(Pti_storage.Writer.t -> unit) ->
-  t ->
-  string ->
-  unit
-(** Write the engine to [path] (default format {!Pti_storage.V4},
-    packed; [~format:V3] writes the previous all-64-bit layout, e.g.
-    for benchmarking packing itself). [extra] may append wrapper-owned
+val save : ?extra:(Pti_storage.Writer.t -> unit) -> t -> string -> unit
+(** Write the engine to [path]. [extra] may append wrapper-owned
     sections (e.g. the listing index' document blobs) to the same
     container before it is laid out and checksummed. Identical engines
     produce byte-identical files. *)
 
-val load :
-  ?domains:int ->
-  ?verify:bool ->
-  key_of_pos:(int -> int) ->
-  string ->
-  t
-(** Open an index file, dispatching on its magic: "PTI-ENGINE-4" and
-    "PTI-ENGINE-3" files
-    are memory-mapped ([verify] as in {!Pti_storage.Reader.open_file};
-    [domains] is irrelevant — nothing is rebuilt); legacy "PTI-ENGINE-2"
-    files take the deprecated unmarshal-and-rebuild path ([domains]
-    shards the RMQ rebuild, [verify] is ignored). [key_of_pos] must be
-    the same mapping used at build time (the identity for substring
-    indexes; wrappers persist what they need to reconstruct theirs).
-    Raises {!Pti_storage.Corrupt} on a damaged container,
-    [Invalid_argument] on an unrecognized magic. *)
+val load : ?verify:bool -> key_of_pos:(int -> int) -> string -> t
+(** Memory-map an index file ([verify] as in
+    {!Pti_storage.Reader.open_file}). [key_of_pos] must be the same
+    mapping used at build time (the identity for substring indexes;
+    wrappers persist what they need to reconstruct theirs). Raises
+    {!Pti_storage.Corrupt}, naming the offending section, on a damaged
+    container or a file that is not one. *)
 
 val open_reader : key_of_pos:(int -> int) -> Pti_storage.Reader.t -> t
 (** {!load} for an already-open container — wrappers use this to read
     their own sections from the same reader. *)
-
-val magic : string
-(** The current container magic, [Pti_storage.magic]. *)
-
-val legacy_magic : string
-(** ["PTI-ENGINE-2\n"]. *)
-
-val save_legacy : t -> string -> unit
-(** Write the deprecated marshalled format (for migration tests and the
-    legacy-vs-mmap benchmark). *)
-
-val save_legacy_channel : t -> out_channel -> unit
-val load_legacy_channel :
-  ?domains:int -> key_of_pos:(int -> int) -> in_channel -> t
-(** Channel-level legacy access for wrappers whose old format prepended
-    their own marshalled data to the engine stream. *)

@@ -60,14 +60,13 @@ val size_words : t -> int
 val size_bytes : t -> int
 (** Byte-accurate space accounting; see {!Engine.size_bytes}. *)
 
-val save : ?format:Pti_storage.format -> t -> string -> unit
-(** Persist the index as a "PTI-ENGINE-4" container (see {!Engine.save};
-    [~format:V3] writes the previous all-64-bit layout). *)
+val save : t -> string -> unit
+(** Persist the index as a "PTI-ENGINE-4" container (see {!Engine.save}). *)
 
-val save_legacy : t -> string -> unit
-(** Write the deprecated "PTI-ENGINE-2" marshalled format. *)
+val open_reader : Pti_storage.Reader.t -> t
+(** Open a saved index from an already-open container. *)
 
-val load : ?domains:int -> ?verify:bool -> string -> t
-(** Open a saved index: current-format files are memory-mapped with no
-    rebuild work at all; legacy files are unmarshalled and their RMQs
-    rebuilt across [?domains]. See {!Engine.load}. *)
+val load : ?verify:bool -> string -> t
+(** Memory-map a saved index, with no rebuild work at all:
+    [open_reader] of {!Pti_storage.Reader.open_file}. See
+    {!Engine.load}. *)

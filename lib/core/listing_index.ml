@@ -61,7 +61,7 @@ let size_words t = Engine.size_words t.engine
 let size_bytes t = Engine.size_bytes t.engine
 
 (* The engine's key function maps original (concatenated) positions to
-   document ids; it is reconstructed from the persisted documents. *)
+   document ids; [save] persists it as "listing.doc_of". *)
 let doc_map docs =
   let total =
     Array.fold_left (fun acc d -> acc + Ustring.length d) 0 docs
@@ -84,44 +84,22 @@ let doc_map docs =
    map ("listing.doc_of", read zero-copy to rebuild [key_of_pos]), and
    the documents themselves as a lazily-deserialized blob
    ("listing.docs"). *)
-let save ?format ?(extra = fun (_ : S.Writer.t) -> ()) t path =
+let save ?(extra = fun (_ : S.Writer.t) -> ()) t path =
   let docs = Lazy.force t.docs in
-  Engine.save ?format t.engine path ~extra:(fun w ->
+  Engine.save t.engine path ~extra:(fun w ->
       S.Writer.add_bytes w "listing.meta"
         (Marshal.to_string (t.relevance, t.n_docs) []);
       S.Writer.add_ints w "listing.doc_of" (doc_map docs);
       S.Writer.add_bytes w "listing.docs" (Marshal.to_string docs []);
       extra w)
 
-(* Legacy format: [Marshal (docs, relevance)] followed by the legacy
-   engine stream in the same file. *)
-let save_legacy t path =
-  S.atomic_save path (fun oc ->
-      Marshal.to_channel oc (Lazy.force t.docs, t.relevance) [];
-      Engine.save_legacy_channel t.engine oc)
+let open_reader r =
+  let relevance, n_docs =
+    (Marshal.from_string (S.Reader.blob r "listing.meta") 0 : relevance * int)
+  in
+  let doc_of = S.Reader.ints r "listing.doc_of" in
+  let engine = Engine.open_reader ~key_of_pos:(S.Ints.get doc_of) r in
+  let docs = lazy (Marshal.from_string (S.Reader.blob r "listing.docs") 0) in
+  { engine; docs; n_docs; relevance }
 
-let load ?domains ?verify path =
-  if S.file_has_magic path then begin
-    let r = S.Reader.open_file ?verify path in
-    let relevance, n_docs =
-      (Marshal.from_string (S.Reader.blob r "listing.meta") 0 : relevance * int)
-    in
-    let doc_of = S.Reader.ints r "listing.doc_of" in
-    let engine = Engine.open_reader ~key_of_pos:(S.Ints.get doc_of) r in
-    let docs = lazy (Marshal.from_string (S.Reader.blob r "listing.docs") 0) in
-    { engine; docs; n_docs; relevance }
-  end
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        let docs, relevance =
-          (Marshal.from_channel ic : Ustring.t array * relevance)
-        in
-        let doc_of = doc_map docs in
-        let engine =
-          Engine.load_legacy_channel ?domains
-            ~key_of_pos:(fun p -> doc_of.(p))
-            ic
-        in
-        { engine; docs = Lazy.from_val docs; n_docs = Array.length docs; relevance })
-  end
+let load ?verify path = open_reader (S.Reader.open_file ?verify path)

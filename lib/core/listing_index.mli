@@ -78,22 +78,18 @@ val size_words : t -> int
 val size_bytes : t -> int
 (** Byte-accurate space accounting; see {!Engine.size_bytes}. *)
 
-val save :
-  ?format:Pti_storage.format ->
-  ?extra:(Pti_storage.Writer.t -> unit) ->
-  t ->
-  string ->
-  unit
+val save : ?extra:(Pti_storage.Writer.t -> unit) -> t -> string -> unit
 (** Persist the index (documents, relevance metric, position→document
     map and engine data) into one "PTI-ENGINE-4" container; see
     {!Engine.save}. [?extra] appends caller-owned sections after the
     listing's own (the segment store records its slot → document-id
     map this way). *)
 
-val save_legacy : t -> string -> unit
-(** Write the deprecated marshalled format. *)
+val open_reader : Pti_storage.Reader.t -> t
+(** Open a saved index from an already-open container; the documents
+    are deserialized lazily on first {!doc} access. Raises
+    {!Pti_storage.Corrupt} if the listing sections are missing. *)
 
-val load : ?domains:int -> ?verify:bool -> string -> t
-(** Open a saved index; current-format files are memory-mapped, with
-    the documents deserialized lazily on first {!doc} access. Legacy
-    files take the unmarshal-and-rebuild path. See {!Engine.load}. *)
+val load : ?verify:bool -> string -> t
+(** Memory-map a saved index: [open_reader] of
+    {!Pti_storage.Reader.open_file}. See {!Engine.load}. *)

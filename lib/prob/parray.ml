@@ -77,8 +77,3 @@ let of_storage ~cum ~zeros ~logs =
       invalid_arg "Parray.of_storage: inconsistent section lengths"
   | _ -> ());
   { n; cum; zeros; logs }
-
-let raw_logs t =
-  match t.logs with
-  | Some logs -> S.Floats.to_array logs
-  | None -> Array.init t.n (derived_log t)

@@ -59,7 +59,3 @@ val of_storage :
     cumulative differences (exact zeros, float-rounded magnitudes) and
     {!window}/{!prefix} are unaffected. Raises [Invalid_argument] on
     inconsistent lengths. *)
-
-val raw_logs : t -> float array
-(** Heap copy of the raw log values (legacy persistence only); derived
-    from cumulative differences when the raw section was dropped. *)

@@ -4,18 +4,14 @@ module S = Pti_storage
 
 type handle = General of G.t | Listing of L.t
 
-(* Sniff the container kind from its section table without loading:
-   listing indexes own a "listing.meta" section. Legacy marshal files
-   (no container magic) only ever held general indexes in this
-   codebase's CLI, so they take the general path. *)
+(* One container open per load: the section table says which kind it
+   is (listing indexes own a "listing.meta" section), and the same
+   reader then feeds that index's [open_reader]. *)
 let load_handle ?verify path =
   ignore (Pti_fault.hit "cache.open" : int option);
-  let is_listing =
-    S.file_has_magic path
-    && S.Reader.has (S.Reader.open_file ~verify:false path) "listing.meta"
-  in
-  if is_listing then Listing (L.load ?verify path)
-  else General (G.load ?verify path)
+  let r = S.Reader.open_file ?verify path in
+  if S.Reader.has r "listing.meta" then Listing (L.open_reader r)
+  else General (G.open_reader r)
 
 type entry = { handle : handle; mutable last_use : int }
 

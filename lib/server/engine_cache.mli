@@ -8,10 +8,10 @@
     page-cache-shared), so re-opening after an eviction costs IO only if
     the pages were reclaimed.
 
-    A loaded handle is classified by sniffing the container's section
-    table: files with a ["listing.meta"] section open as listing
-    indexes, everything else as substring (general) indexes. Legacy
-    marshal files open as general indexes. *)
+    A loaded handle is classified by the container's section table:
+    files with a ["listing.meta"] section open as listing indexes,
+    everything else as substring (general) indexes. The container is
+    opened (and, with [verify], checksummed) once per load. *)
 
 type handle =
   | General of Pti_core.General_index.t
@@ -19,8 +19,8 @@ type handle =
 
 val load_handle : ?verify:bool -> string -> handle
 (** Open one file, dispatching on its sections as described above.
-    Raises whatever {!Pti_core.General_index.load} /
-    {!Pti_core.Listing_index.load} raise on damaged files. *)
+    Raises {!Pti_storage.Corrupt} on a damaged file or one that is not
+    a container. *)
 
 type t
 

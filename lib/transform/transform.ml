@@ -345,16 +345,3 @@ let open_parts r =
     n_skipped = m.m_n_skipped;
     has_correlations = m.m_has_correlations;
   }
-
-let of_legacy ~source ~tau_min ~text ~pos ~logs ~n_factors ~n_skipped =
-  {
-    source = Lazy.from_val source;
-    tau_min;
-    text = S.Ints.of_array text;
-    pos = S.Ints.of_array pos;
-    parray = Parray.of_logps (Array.map Logp.of_log logs);
-    n_factors;
-    n_skipped;
-    has_correlations =
-      not (Correlation.is_empty (Ustring.correlations source));
-  }

@@ -128,15 +128,3 @@ val save_parts : ?with_logs:bool -> Pti_storage.Writer.t -> t -> unit
 
 val open_parts : Pti_storage.Reader.t -> t
 (** Raises {!Pti_storage.Corrupt} if a section is missing or damaged. *)
-
-val of_legacy :
-  source:Pti_ustring.Ustring.t ->
-  tau_min:float ->
-  text:int array ->
-  pos:int array ->
-  logs:float array ->
-  n_factors:int ->
-  n_skipped:int ->
-  t
-(** Rebuild from the fields of a legacy ("PTI-ENGINE-2") marshalled
-    index; the prefix-product array is recomputed from the raw logs. *)

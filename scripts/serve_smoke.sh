@@ -129,6 +129,15 @@ FIRST_ID=$(head -n 1 "$DIR/corpus-ids.txt")
     || { echo "serve-smoke: corpus stats --json missing the tombstone" >&2; exit 1; }
 "$PTI" stats "$DIR/general.pti" --json | grep -q '"sections":\[' \
     || { echo "serve-smoke: container stats --json missing sections" >&2; exit 1; }
+# a file that is not a container: stats (text and --json) must exit
+# non-zero with a one-line message naming the path
+for FLAG in "" --json; do
+    if "$PTI" stats "$DIR/data.txt" $FLAG > /dev/null 2> "$DIR/stats-bad.err"; then
+        echo "serve-smoke: stats accepted a non-container" >&2; exit 1
+    fi
+    [ "$(wc -l < "$DIR/stats-bad.err")" -eq 1 ] && grep -qF "$DIR/data.txt" "$DIR/stats-bad.err" \
+        || { echo "serve-smoke: stats on a non-container did not fail with one line naming it" >&2; cat "$DIR/stats-bad.err" >&2; exit 1; }
+done
 
 # the corpus rides behind the file-backed indexes, so it is index 3;
 # background compaction off so the served layout stays the committed one

@@ -377,7 +377,7 @@ let test_persistence () =
         (try
            ignore (G.load path);
            false
-         with Invalid_argument _ | End_of_file -> true))
+         with Pti_storage.Corrupt { section = "header"; _ } -> true))
 
 let test_persistence_listing () =
   let rng = H.rng_of_seed 66 in

@@ -5,13 +5,14 @@
      wrong-magic and bit-flipped files, with the offending section
      named;
    - minimal-width packing: u8/u16/u32 boundary values and -1
-     sentinels through packed views, packed-section corruption, the
-     V3 writer, and the float32 opt-in;
+     sentinels through packed views, and packed-section corruption;
    - heap-built vs reopened-mmap engines answering byte-identically
      across the full configuration matrix (metric × range-search ×
      ladder × rmq kind, with and without correlations), including
      batched queries on a 4-domain pool;
-   - the legacy PTI-ENGINE-2 marshalled format still loading. *)
+   - retired formats (PTI-ENGINE-2/-3, float32 sections, two-field
+     engine meta, the marshalled "fm" blob) refused by every loader
+     with a typed [Corrupt]. *)
 
 module S = Pti_storage
 module U = Pti_ustring.Ustring
@@ -198,8 +199,9 @@ let test_packed_widths () =
       let w = S.Writer.create path in
       List.iter (fun (name, a, _, _) -> S.Writer.add_ints w name a) cases;
       S.Writer.close w;
+      Alcotest.(check string) "magic" S.magic
+        (String.sub (read_file path) 0 (String.length S.magic));
       let r = S.Reader.open_file path in
-      Alcotest.(check int) "version" 4 (S.Reader.version r);
       List.iter
         (fun (name, a, width, bias) ->
           let i = section_info r name in
@@ -294,56 +296,6 @@ let test_packed_corruption () =
           Alcotest.(check bool) "truncated packed container rejected" true
             (corrupt_section (fun () -> S.Reader.open_file p2) <> None)))
 
-(* The V3 writer still produces loadable 64-bit-per-element files. *)
-let test_v3_writer_roundtrip () =
-  with_tmp (fun path ->
-      let w = S.Writer.create ~format:S.V3 path in
-      S.Writer.add_ints w "xs" [| -1; 0; 255; 65536; max_int |];
-      S.Writer.add_floats w "fs" [| 3.25; -0.5 |];
-      S.Writer.add_bytes w "blob" "legacy width";
-      S.Writer.close w;
-      let r = S.Reader.open_file path in
-      Alcotest.(check int) "version" 3 (S.Reader.version r);
-      let xs = S.Reader.ints r "xs" in
-      Alcotest.(check int) "v3 ints are 8-wide" 8 (S.Ints.width xs);
-      Alcotest.(check (array int))
-        "v3 ints roundtrip"
-        [| -1; 0; 255; 65536; max_int |]
-        (S.Ints.to_array xs);
-      Alcotest.(check (array (float 0.0)))
-        "v3 floats roundtrip" [| 3.25; -0.5 |]
-        (S.Floats.to_array (S.Reader.floats r "fs"));
-      Alcotest.(check string) "v3 blob" "legacy width" (S.Reader.blob r "blob");
-      (* f32 is a v4-only feature *)
-      let w2 = S.Writer.create ~format:S.V3 path in
-      Alcotest.(check bool) "f32 rejected on V3" true
-        (try
-           S.Writer.add_floats ~f32:true w2 "f" [| 1.0 |];
-           false
-         with Invalid_argument _ -> true))
-
-(* float32 sections are opt-in; they halve storage at ~1e-7 relative
-   precision and read back through the same [floats] view. *)
-let test_f32_optin () =
-  with_tmp (fun path ->
-      let a = Array.init 33 (fun i -> log (1.0 +. float_of_int i) /. 7.0) in
-      let w = S.Writer.create path in
-      S.Writer.add_floats ~f32:true w "f32" a;
-      S.Writer.add_floats w "f64" a;
-      S.Writer.close w;
-      let r = S.Reader.open_file path in
-      let i32 = section_info r "f32" and i64 = section_info r "f64" in
-      Alcotest.(check int) "f32 width" 4 i32.S.Reader.si_width;
-      Alcotest.(check int) "f64 width" 8 i64.S.Reader.si_width;
-      let v32 = S.Reader.floats r "f32" in
-      Alcotest.(check int) "f32 view width" 4 (S.Floats.width v32);
-      Alcotest.(check (array (float 1e-6)))
-        "f32 roundtrip within precision" a
-        (S.Floats.to_array v32);
-      Alcotest.(check (array (float 0.0)))
-        "f64 exact" a
-        (S.Floats.to_array (S.Reader.floats r "f64")))
-
 (* A packed container re-saved from its mapped views (as [Engine.save]
    does on a loaded index) must be byte-identical. *)
 let test_packed_resave () =
@@ -391,10 +343,7 @@ let test_engine_bitflip () =
               if G.query g' ~pattern:pat ~tau:0.3 = G.query g ~pattern:pat ~tau:0.3
               then `Harmless
               else `Wrong_answers
-            with
-            | S.Corrupt _ -> `Detected
-            | Invalid_argument _ when off < 16 -> `Detected
-            (* flips inside the magic make the file look legacy *)
+            with S.Corrupt _ -> `Detected
           in
           if outcome = `Wrong_answers then
             Alcotest.failf "bit flip at offset %d silently changed answers" off)
@@ -419,15 +368,12 @@ let test_engine_truncation () =
                    false
                  with S.Corrupt _ -> true)))
         [ 16; 48; n / 4; n / 2; n - 8 ];
-      (* below the magic length the file is taken for a legacy one and
-         rejected by the legacy loader *)
+      (* a prefix shorter than the magic is not a container at all *)
       with_tmp (fun p2 ->
           write_file p2 (String.sub full 0 8);
-          Alcotest.(check bool) "sub-magic prefix rejected" true
-            (try
-               ignore (G.load p2);
-               false
-             with Invalid_argument _ | End_of_file -> true)))
+          Alcotest.(check (option string))
+            "sub-magic prefix rejected" (Some "header")
+            (corrupt_section (fun () -> G.load p2))))
 
 (* ------------------------------------------------------------------ *)
 (* Roundtrips: a reopened mmap twin must answer exactly like the
@@ -516,6 +462,28 @@ let test_roundtrip_succinct_backend () =
           (S.Reader.has r "fm.meta"))
   done
 
+(* A succinct engine saved from its mmap views (the loaded twin, whose
+   FM and RMQ sections are mapped, not rebuilt) must write the same
+   bytes as the heap-built original, and load back to the same answers. *)
+let test_succinct_resave () =
+  let rng = H.rng_of_seed 80 in
+  let u = H.random_ustring rng 70 4 3 in
+  let g = G.build ~backend:Engine.Succinct ~tau_min:0.1 u in
+  let queries = patterns_for rng u 8 in
+  with_tmp (fun path ->
+      G.save g path;
+      let original = read_file path in
+      let g' = G.load path in
+      with_tmp (fun path2 ->
+          G.save g' path2;
+          Alcotest.(check bool) "resaved succinct container byte-identical"
+            true
+            (String.equal original (read_file path2));
+          let g'' = G.load path2 in
+          Alcotest.(check bool) "resaved backend recorded" true
+            (Engine.backend (G.engine g'') = Engine.Succinct);
+          check_same_answers "succinct resaved twin" g g'' queries))
+
 let test_succinct_engine_corruption () =
   let rng = H.rng_of_seed 79 in
   let u = H.random_ustring rng 60 4 3 in
@@ -547,17 +515,6 @@ let test_succinct_engine_corruption () =
             (Some name)
             (corrupt_section (fun () -> ignore (G.load path))))
         targets)
-
-(* A succinct engine written through the legacy marshalled format comes
-   back (as a packed-backend engine) answering identically. *)
-let test_succinct_legacy_roundtrip () =
-  let rng = H.rng_of_seed 80 in
-  let u = H.random_ustring rng 50 4 3 in
-  let g = G.build ~backend:Engine.Succinct ~tau_min:0.1 u in
-  with_tmp (fun path ->
-      G.save_legacy g path;
-      let g' = G.load path in
-      check_same_answers "legacy succinct" g g' (patterns_for rng u 10))
 
 (* The Or metric keeps per-level stored-value arrays instead of dead
    bitmaps; exercise both relevance metrics through the listing index,
@@ -667,35 +624,113 @@ let test_roundtrip_batch_domains () =
             (L.query_batch l ~patterns = L.query_batch l' ~patterns)))
 
 (* ------------------------------------------------------------------ *)
-(* Legacy PTI-ENGINE-2 files keep loading through the marshalled path. *)
+(* Retired formats: the marshalled PTI-ENGINE-2 stream, PTI-ENGINE-3
+   containers, float32 sections, the two-field engine meta and the
+   marshalled "fm" blob. Every loader must refuse each with a [Corrupt]
+   naming the section at fault, never another exception. The files are
+   crafted from a current container by byte patching or by re-laying
+   its sections through the writer. *)
 
-let test_legacy_roundtrip () =
-  let rng = H.rng_of_seed 77 in
-  for _ = 1 to 8 do
-    let u = H.random_ustring rng (10 + Random.State.int rng 30) 4 3 in
-    let g = G.build ~tau_min:0.1 u in
-    with_tmp (fun path ->
-        G.save_legacy g path;
-        Alcotest.(check bool) "legacy file lacks the container magic" false
-          (S.file_has_magic path);
-        let g' = G.load path in
-        for _ = 1 to 10 do
-          let pat = H.random_pattern rng u 8 in
-          let tau = 0.1 +. Random.State.float rng 0.6 in
-          Alcotest.(check bool) "legacy load answers identically" true
-            (G.query g ~pattern:pat ~tau = G.query g' ~pattern:pat ~tau)
-        done)
+(* Re-lay the sections of [src] into [dst]; [edit name] keeps a section
+   ([None]) or substitutes it ([Some add], where [add] may add nothing). *)
+let relay src dst edit =
+  let r = S.Reader.open_file src in
+  let w = S.Writer.create dst in
+  List.iter
+    (fun i ->
+      let name = i.S.Reader.si_name in
+      match (edit name, i.S.Reader.si_kind) with
+      | Some add, _ -> add w
+      | None, "ints" -> S.Writer.add_ints_ba w name (S.Reader.ints r name)
+      | None, "floats" ->
+          S.Writer.add_floats_ba w name (S.Reader.floats r name)
+      | None, _ -> S.Writer.add_bits w name (S.Reader.bits r name))
+    (S.Reader.table r);
+  S.Writer.close w
+
+(* Rewrite the width word of section [target]'s table entry, then
+   recompute the table checksum (FNV-1a over 63-bit words, folded as
+   the reader does) so that only the width check can object. *)
+let patch_width path target width =
+  let b = Bytes.of_string (read_file path) in
+  let word o = Int64.to_int (Bytes.get_int64_le b o) in
+  let table_off = word 32 and last = Bytes.length b - 8 in
+  let rec entry o =
+    let len = word o in
+    let p = o + 8 + ((len + 7) land lnot 7) in
+    if Bytes.sub_string b (o + 8) len = target then p else entry (p + 48)
+  in
+  Bytes.set_int64_le b (entry table_off + 32) (Int64.of_int width);
+  let h = ref 0x1505_7151_1505_7151 in
+  for k = table_off / 8 to (last / 8) - 1 do
+    h := (!h lxor word (8 * k)) * 0x100000001B3
   done;
+  Bytes.set_int64_le b last (Int64.of_int !h);
+  write_file path (Bytes.to_string b)
+
+let test_retired_formats_refused () =
+  let rng = H.rng_of_seed 80 in
+  let fm = { Engine.default_config with range_search = Engine.Rs_fm } in
+  let u = H.random_ustring rng 50 4 3 in
   let docs = List.init 4 (fun _ -> H.random_ustring rng 15 3 2) in
-  let l = L.build ~tau_min:0.1 docs in
-  with_tmp (fun path ->
-      L.save_legacy l path;
-      let l' = L.load path in
-      Alcotest.(check int) "legacy listing n_docs" (L.n_docs l) (L.n_docs l');
-      let d0 = List.hd docs in
-      let pat = H.random_pattern rng d0 5 in
-      Alcotest.(check bool) "legacy listing answers identically" true
-        (L.query l ~pattern:pat ~tau:0.3 = L.query l' ~pattern:pat ~tau:0.3))
+  let sym () = { U.sym = Char.code 'A' + Random.State.int rng 4; prob = 0.7 } in
+  let special = U.make (Array.init 40 (fun _ -> [| sym () |])) in
+  (* one FM-backed index per loader, so the "fm" case applies to all *)
+  let loaders =
+    [
+      ( "general",
+        G.save (G.build ~config:fm ~tau_min:0.1 u),
+        fun p -> ignore (G.load p) );
+      ( "listing",
+        L.save (L.build ~backend:Engine.Succinct ~tau_min:0.1 docs),
+        fun p -> ignore (L.load p) );
+      ( "special",
+        Sp.save (Sp.build ~config:fm special),
+        fun p -> ignore (Sp.load p) );
+    ]
+  in
+  let retired =
+    [
+      ( "PTI-ENGINE-2 stream", "header",
+        fun _ path ->
+          write_file path ("PTI-ENGINE-2\n" ^ Marshal.to_string [| 0 |] []) );
+      ( "PTI-ENGINE-3 magic", "header",
+        fun base path ->
+          let three i c = if i = 11 then '3' else c in
+          write_file path (String.mapi three (read_file base)) );
+      ( "float32 section", "tr.cum",
+        fun base path ->
+          write_file path (read_file base);
+          patch_width path "tr.cum" 4 );
+      ( "two-field meta", "meta",
+        fun base path ->
+          let m = S.Reader.ints (S.Reader.open_file base) "meta" in
+          let two w = S.Writer.add_ints_ba w "meta" (S.Ints.sub m 0 2) in
+          relay base path (function "meta" -> Some two | _ -> None) );
+      ( "marshalled fm blob", "fm.meta",
+        fun base path ->
+          relay base path (fun name ->
+              let blob w = S.Writer.add_bytes w "fm" (Marshal.to_string 0 []) in
+              if name = "fm.meta" then Some blob
+              else if String.starts_with ~prefix:"fm." name then Some ignore
+              else None) );
+    ]
+  in
+  (* any exception other than [Corrupt] escapes and fails the test *)
+  List.iter
+    (fun (kind, save, load) ->
+      with_tmp (fun base ->
+          save base;
+          load base;
+          List.iter
+            (fun (label, want, craft) ->
+              with_tmp (fun path ->
+                  craft base path;
+                  Alcotest.(check (option string))
+                    (kind ^ ": " ^ label) (Some want)
+                    (corrupt_section (fun () -> load path))))
+            retired))
+    loaders
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe saves under injected faults: whatever fails and wherever,
@@ -880,23 +915,6 @@ let () =
       (try G.save g_new path with _ -> ());
       exit 9 (* only reached if the failpoint did not abort *)
 
-(* The legacy (pre-container) savers share the same atomic_save
-   protocol. *)
-let test_fault_legacy_save_keeps_old () =
-  let g_old, g_new = make_engines () in
-  with_tmp (fun path ->
-      G.save_legacy g_old path;
-      let old_bytes = read_file path in
-      with_faults (fun () ->
-          F.arm "storage.fsync" (F.Raise Unix.EIO) (F.Nth 1);
-          match G.save_legacy g_new path with
-          | () -> Alcotest.fail "legacy save should have failed"
-          | exception Unix.Unix_error (Unix.EIO, _, _) -> ());
-      Alcotest.(check bool) "legacy destination untouched" true
-        (read_file path = old_bytes);
-      no_temp_left path;
-      ignore (G.load path : G.t))
-
 let () =
   Alcotest.run "pti_storage"
     [
@@ -918,9 +936,6 @@ let () =
             test_packed_roundtrip_prop;
           Alcotest.test_case "packed sections detect corruption" `Quick
             test_packed_corruption;
-          Alcotest.test_case "V3 writer roundtrip" `Quick
-            test_v3_writer_roundtrip;
-          Alcotest.test_case "float32 opt-in" `Quick test_f32_optin;
           Alcotest.test_case "mapped views re-save byte-identical" `Quick
             test_packed_resave;
         ] );
@@ -938,8 +953,8 @@ let () =
             test_roundtrip_succinct_backend;
           Alcotest.test_case "succinct sections detect corruption" `Quick
             test_succinct_engine_corruption;
-          Alcotest.test_case "succinct legacy roundtrip" `Quick
-            test_succinct_legacy_roundtrip;
+          Alcotest.test_case "succinct mmap re-save byte-identical" `Quick
+            test_succinct_resave;
           Alcotest.test_case "listing metrics and correlations" `Slow
             test_roundtrip_listing;
           Alcotest.test_case "special index" `Quick test_roundtrip_special;
@@ -947,7 +962,10 @@ let () =
             test_roundtrip_batch_domains;
         ] );
       ( "legacy",
-        [ Alcotest.test_case "marshalled format loads" `Quick test_legacy_roundtrip ] );
+        [
+          Alcotest.test_case "retired formats are refused" `Quick
+            test_retired_formats_refused;
+        ] );
       ( "fault",
         [
           Alcotest.test_case "failed save keeps old container" `Quick
@@ -960,7 +978,5 @@ let () =
             test_fault_short_write_resumes;
           Alcotest.test_case "abort mid-save (fork)" `Quick
             test_fault_abort_mid_save;
-          Alcotest.test_case "failed legacy save keeps old file" `Quick
-            test_fault_legacy_save_keeps_old;
         ] );
     ]
