@@ -1,4 +1,4 @@
-.PHONY: check check-par bench bench-par bench-io bench-space bench-frontier bench-serve bench-multicore bench-hotpath bench-lsm serve-smoke chaos-smoke fault-matrix perfbench-selftest clean
+.PHONY: check check-par loc bench bench-par bench-io bench-space bench-frontier bench-serve bench-multicore bench-hotpath bench-lsm serve-smoke chaos-smoke fault-matrix perfbench-selftest clean
 
 check:
 	dune build @all
@@ -7,6 +7,10 @@ check:
 # Re-run the whole test suite with the domain pool actually engaged.
 check-par:
 	PTI_DOMAINS=4 dune runtest --force
+
+# Size of the program: lines of OCaml and C under lib/ and bin/.
+loc:
+	@find lib bin -name '*.ml' -o -name '*.mli' -o -name '*.c' | xargs cat | wc -l
 
 bench:
 	dune exec bench/main.exe

@@ -617,7 +617,7 @@ let abl_persist () =
         same)
 
 (* ------------------------------------------------------------------ *)
-(* par: multicore construction and batched queries on OCaml 5 domains.
+(* par: multicore construction and concurrent queries on OCaml 5 domains.
    Sweeps domain counts {1, 2, 4, max}, reports build/query speedups
    against the sequential path, verifies the engines are byte-identical
    and writes machine-readable BENCH_PAR.json. *)
@@ -693,7 +693,7 @@ let par () =
   let domain_counts =
     List.sort_uniq compare (List.filter (fun d -> d <= Stdlib.max 4 max_d) [ 1; 2; 4; max_d ])
   in
-  print_header "par: multicore index construction and batched queries"
+  print_header "par: multicore index construction and concurrent queries"
     (Printf.sprintf
        "n=%d theta=%.1f tau_min=%.2f text N=%d; recommended domains=%d \
         (PTI_DOMAINS overrides); transform (sequential, shared): %.2fs"
@@ -717,7 +717,11 @@ let par () =
         in
         let batch () =
           let _, t =
-            time (fun () -> ignore (Engine.query_batch ~domains:d e ~patterns))
+            time (fun () ->
+                ignore
+                  (Pti_parallel.parallel_map_array ~domains:d
+                     (fun (pattern, tau) -> Engine.query e ~pattern ~tau)
+                     patterns))
           in
           t /. float_of_int (Array.length patterns)
         in
@@ -1039,9 +1043,9 @@ let space () =
    heap-resident engines vs the mmap container + sharded LRU cache
    exactly as `pti serve` runs them — "multicore" — the scaling
    sweep (workers 1/2/4/8 × concurrency 1/8/64/256, mmap backend) with
-   byte-for-byte verification of every reply, so batched worker
-   dispatch is proven identical to direct engine queries while it is
-   being measured — and "hotpath" — the zero-allocation/result-cache
+   byte-for-byte verification of every reply, so worker dispatch is
+   proven identical to direct engine queries while it is being
+   measured — and "hotpath" — the zero-allocation/result-cache
    profile (DESIGN.md §14): a repetitive pattern-pool workload at
    concurrency 8 against packed and succinct mmap containers, one row
    with the result cache off and a cold + cache-hot pair with it on,
@@ -1443,7 +1447,7 @@ let serve_bench ?(sweep_only = false) ?(hotpath_only = false) () =
             n theta tau_default tau_min_default workers duration_s
             (host_json_fields ())
             (json_escape
-               ("one server (binary protocol, bounded queue, batched worker \
+               ("one server (binary protocol, bounded queue, worker \
                  domains, epoll accept loop), one Loadgen client pool per \
                  row; heap = engines built in-process, mmap = PTI-ENGINE-4 \
                  containers resolved through the sharded LRU cache. every \

@@ -527,14 +527,13 @@ module Store = Pti_segment.Segment_store
 
 let serve indexes corpora host port workers queue_cap deadline_ms cache_cap
     no_verify debug_slow send_timeout_ms drain_timeout_ms max_conns
-    max_json_line batch_max result_cache_mb no_result_cache
+    max_json_line result_cache_mb no_result_cache
     compact_interval_ms wal_sync scrub_interval_ms scrub_mb_s warmup_ms =
   run_checked @@ fun () ->
   if indexes = [] && corpora = [] then
     failwith "serve: pass at least one index file or --corpus directory";
   if max_conns < 1 then failwith "serve: --max-conns must be >= 1";
   if max_json_line < 64 then failwith "serve: --max-json-line must be >= 64";
-  if batch_max < 1 then failwith "serve: --batch-max must be >= 1";
   if result_cache_mb < 0 then
     failwith "serve: --result-cache-mb must be >= 0";
   if Float.is_nan compact_interval_ms || compact_interval_ms < 0.0 then
@@ -568,7 +567,6 @@ let serve indexes corpora host port workers queue_cap deadline_ms cache_cap
       drain_timeout_ms;
       max_conns;
       max_json_line;
-      batch_max;
       result_cache_mb = (if no_result_cache then 0 else result_cache_mb);
       compact_interval_ms;
       scrub_interval_ms;
@@ -999,7 +997,8 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains (default: available cores, PTI_DOMAINS aware).")
+          ~doc:"Worker domains (default: available cores, PTI_DOMAINS \
+                aware). Must be >= 1 (exit 2 otherwise).")
   in
   let queue_cap =
     Arg.(
@@ -1012,7 +1011,8 @@ let serve_cmd =
     Arg.(
       value & opt float 5000.0
       & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:"Requests still queued after this long get timeout replies.")
+          ~doc:"Requests still queued after this long get timeout \
+                replies. Must be finite and > 0 (exit 2 otherwise).")
   in
   let cache_cap =
     Arg.(
@@ -1035,14 +1035,15 @@ let serve_cmd =
       value & opt float 5000.0
       & info [ "send-timeout-ms" ] ~docv:"MS"
           ~doc:"Drop a client whose reply write stalls this long (0 \
-                disables).")
+                disables; must be finite and >= 0, exit 2 otherwise).")
   in
   let drain_timeout_ms =
     Arg.(
       value & opt float 5000.0
       & info [ "drain-timeout-ms" ] ~docv:"MS"
           ~doc:"On SIGTERM/SIGINT, let queued requests finish for this \
-                long before answering the rest shutting_down.")
+                long before answering the rest shutting_down (must be \
+                finite and >= 0, exit 2 otherwise).")
   in
   let max_conns =
     Arg.(
@@ -1062,16 +1063,6 @@ let serve_cmd =
                 fallback protocol; a connection exceeding it without a \
                 newline is answered bad_request and closed. Must be >= \
                 64 (exit 2 otherwise).")
-  in
-  let batch_max =
-    Arg.(
-      value & opt int 32
-      & info [ "batch-max" ] ~docv:"N"
-          ~doc:"Most requests a worker domain drains from the queue in \
-                one batch (compatible queries execute as one \
-                query_batch call; replies are byte-identical to \
-                unbatched dispatch). 1 disables batching. Must be >= 1 \
-                (exit 2 otherwise).")
   in
   let result_cache_mb =
     Arg.(
@@ -1153,8 +1144,8 @@ let serve_cmd =
       const serve $ indexes $ corpora $ host_arg $ port_arg ~default:7071
       $ workers $ queue_cap $ deadline_ms $ cache_cap $ no_verify $ debug_slow
       $ send_timeout_ms $ drain_timeout_ms $ max_conns $ max_json_line
-      $ batch_max $ result_cache_mb $ no_result_cache $ compact_interval_ms
-      $ wal_sync $ scrub_interval_ms $ scrub_mb_s $ warmup_ms)
+      $ result_cache_mb $ no_result_cache $ compact_interval_ms $ wal_sync
+      $ scrub_interval_ms $ scrub_mb_s $ warmup_ms)
 
 let loadgen_cmd =
   let concurrency =

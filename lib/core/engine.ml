@@ -531,19 +531,6 @@ let query_top_k t ~pattern ~tau ~k =
   if k < 0 then invalid_arg "Engine.query_top_k: negative k";
   List.of_seq (Seq.take k (stream t ~pattern ~tau))
 
-(* Queries only read the engine (suffix/LCP arrays, RMQ structures,
-   bitmaps, the transform — all immutable after [build]); per-query
-   traversal state (heaps, hash tables) is allocated locally. So a batch
-   shards across the pool with no locking, each query writing only its
-   own result slot. *)
-let query_batch ?domains t ~patterns =
-  let nq = Array.length patterns in
-  let out = Array.make nq [] in
-  Par.parallel_for ?domains ~start:0 ~finish:(nq - 1) (fun i ->
-      let pattern, tau = patterns.(i) in
-      out.(i) <- query t ~pattern ~tau);
-  out
-
 let size_words t =
   let rmq_words =
     Array.fold_left (fun acc r -> acc + Rmq.size_words r) 0 t.level_rmq

@@ -122,7 +122,10 @@ val query :
   t -> pattern:Pti_ustring.Sym.t array -> tau:float -> (int * Logp.t) list
 (** Distinct keys with metric value strictly above [tau], most probable
     first. Raises [Invalid_argument] if [tau < tau_min] of the
-    transform, or if the pattern is empty or contains the separator. *)
+    transform, or if the pattern is empty or contains the separator.
+    Safe to call from several domains at once without locking: queries
+    only {e read} the engine (every structure is immutable after
+    construction) and allocate their traversal state per call. *)
 
 val count : t -> pattern:Pti_ustring.Sym.t array -> tau:float -> int
 
@@ -142,21 +145,6 @@ val query_top_k :
     For short patterns this stops after [k] range-maximum extractions —
     the top-k flavour of the Hon–Shah–Vitter framework the paper builds
     on (§7). *)
-
-val query_batch :
-  ?domains:int ->
-  t ->
-  patterns:(Pti_ustring.Sym.t array * float) array ->
-  (int * Logp.t) list array
-(** [query_batch t ~patterns] answers [patterns.(i) = (pattern, tau)]
-    into slot [i] of the result, sharding the batch across the domain
-    pool ([?domains] as in {!build}). Safe without any locking because
-    queries only {e read} the engine: every structure ([sa], [lcp], the
-    RMQs, bitmaps, the transform) is immutable after construction, and
-    per-query traversal state is allocated per query. Results are
-    identical to mapping {!query} over the batch, for every domain
-    count. Raises (the first) [Invalid_argument] raised by an invalid
-    pattern/τ in the batch. *)
 
 val size_words : t -> int
 (** Historical 8-bytes-per-element space estimate; prefer
@@ -179,7 +167,7 @@ val stats : t -> string
     §8–§9). {!load} memory-maps the file and reads the sections in
     place: no deserialization, no RMQ rebuild, open time independent
     of N up to the optional checksum pass. Mapped engines are immutable
-    and page-cache-shared, so concurrent domains ({!query_batch}) and
+    and page-cache-shared, so concurrent domains and
     separate OS processes serving the same file share one physical copy.
     The configuration, transform metadata, source string and the
     optional suffix tree remain [Marshal] blobs (the source is

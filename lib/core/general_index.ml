@@ -11,7 +11,6 @@ let build ?config ?backend ?domains ?max_text_len ~tau_min u =
   { engine = Engine.build ?config ?backend ?domains ~key_of_pos:(fun p -> p) tr }
 
 let query t ~pattern ~tau = Engine.query t.engine ~pattern ~tau
-let query_batch ?domains t ~patterns = Engine.query_batch ?domains t.engine ~patterns
 let query_string t ~pattern ~tau = query t ~pattern:(Sym.of_string pattern) ~tau
 let count t ~pattern ~tau = Engine.count t.engine ~pattern ~tau
 let stream t ~pattern ~tau = Engine.stream t.engine ~pattern ~tau

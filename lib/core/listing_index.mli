@@ -51,14 +51,6 @@ val query :
 (** Document ids whose relevance for the pattern strictly exceeds [tau],
     most relevant first. *)
 
-val query_batch :
-  ?domains:int ->
-  t ->
-  patterns:(Pti_ustring.Sym.t array * float) array ->
-  (int * Logp.t) list array
-(** Batched {!query} sharded across the domain pool; see
-    {!Engine.query_batch}. *)
-
 val query_string : t -> pattern:string -> tau:float -> (int * Logp.t) list
 val count : t -> pattern:Pti_ustring.Sym.t array -> tau:float -> int
 

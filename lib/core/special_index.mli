@@ -21,14 +21,6 @@ val query :
 (** Starting positions where the pattern matches with probability
     strictly above [tau], most probable first. *)
 
-val query_batch :
-  ?domains:int ->
-  t ->
-  patterns:(Pti_ustring.Sym.t array * float) array ->
-  (int * Logp.t) list array
-(** Batched {!query} sharded across the domain pool; see
-    {!Engine.query_batch}. *)
-
 val query_string : t -> pattern:string -> tau:float -> (int * Logp.t) list
 val count : t -> pattern:Pti_ustring.Sym.t array -> tau:float -> int
 

@@ -74,8 +74,7 @@ type t = {
   batched_jobs : int Atomic.t; (* jobs delivered through those rounds *)
   max_batch : int Atomic.t;
   batch_hist : hist; (* batch sizes *)
-  hists : hist array; (* per kind, unbatched dispatch *)
-  hists_batched : hist array; (* per kind, batched (query_batch) dispatch *)
+  hists : hist array; (* latency per kind *)
   (* GC work accumulated across every participating domain (the accept
      loop and each worker report their own deltas; see [gc_sampler]) *)
   gc_minor_words : int Atomic.t;
@@ -118,8 +117,6 @@ let create () =
     max_batch = Atomic.make 0;
     batch_hist = atomic_array n_buckets;
     hists = Array.init (Array.length kinds) (fun _ -> atomic_array n_buckets);
-    hists_batched =
-      Array.init (Array.length kinds) (fun _ -> atomic_array n_buckets);
     gc_minor_words = Atomic.make 0;
     gc_major_words = Atomic.make 0;
     gc_minor_collections = Atomic.make 0;
@@ -220,15 +217,13 @@ let scrub_passes t = Atomic.get t.scrub_passes
 let scrub_corrupt t = Atomic.get t.scrub_corrupt
 let scrub_quarantined t = Atomic.get t.scrub_quarantined
 
-let record_latency ?(batched = false) t ~kind ~seconds =
-  let hs = if batched then t.hists_batched else t.hists in
-  incr hs.(kind_index kind).(bucket_of_us (seconds *. 1e6))
+let record_latency t ~kind ~seconds =
+  incr t.hists.(kind_index kind).(bucket_of_us (seconds *. 1e6))
 
-(* Percentiles are computed over immutable snapshots so the batched and
-   unbatched histograms of one kind can be merged consistently. *)
+(* Percentiles are computed over immutable snapshots, so a count and
+   its percentiles describe the same samples. *)
 let snap h = Array.map Atomic.get h
 let snap_total s = Array.fold_left ( + ) 0 s
-let snap_merge a b = Array.init n_buckets (fun i -> a.(i) + b.(i))
 
 let percentile_of_snap s q =
   let total = snap_total s in
@@ -253,8 +248,7 @@ let errors t ~err = Atomic.get t.errors.(err_index err)
 let overloaded t = errors t ~err:"overloaded"
 let timeouts t = errors t ~err:"timeout"
 
-let merged_snap t i = snap_merge (snap t.hists.(i)) (snap t.hists_batched.(i))
-let percentile_us t ~kind q = percentile_of_snap (merged_snap t (kind_index kind)) q
+let percentile_us t ~kind q = percentile_of_snap (snap t.hists.(kind_index kind)) q
 
 let to_json ?cache_shards ?result_cache ?corpora t ~queue_depth =
   let b = Buffer.create 512 in
@@ -277,13 +271,6 @@ let to_json ?cache_shards ?result_cache ?corpora t ~queue_depth =
       labels;
     Buffer.add_char bb '}';
     Buffer.contents bb
-  in
-  let hist_json s =
-    Printf.sprintf "{\"count\":%d,\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f}"
-      (snap_total s)
-      (percentile_of_snap s 0.50)
-      (percentile_of_snap s 0.95)
-      (percentile_of_snap s 0.99)
   in
   Buffer.add_char b '{';
   field true "uptime_s"
@@ -372,32 +359,22 @@ let to_json ?cache_shards ?result_cache ?corpora t ~queue_depth =
   field false "worker_deaths" (string_of_int (Atomic.get t.worker_deaths));
   field false "accept_failures" (string_of_int (Atomic.get t.accept_failures));
   field false "reloads" (string_of_int (Atomic.get t.reloads));
-  (* Latency per op type, with the batched/unbatched split nested so
-     amortised dispatch can be compared against one-at-a-time on the
-     same kind. *)
+  (* Latency per op type. *)
   let lat = Buffer.create 64 in
   Buffer.add_char lat '{';
   let wrote = ref false in
   Array.iteri
     (fun i kind ->
-      let su = snap t.hists.(i) in
-      let sb = snap t.hists_batched.(i) in
-      let merged = snap_merge su sb in
-      if snap_total merged > 0 then begin
+      let s = snap t.hists.(i) in
+      if snap_total s > 0 then begin
         if !wrote then Buffer.add_char lat ',';
         Buffer.add_string lat
           (Printf.sprintf
-             "\"%s\":{\"count\":%d,\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f"
-             kind (snap_total merged)
-             (percentile_of_snap merged 0.50)
-             (percentile_of_snap merged 0.95)
-             (percentile_of_snap merged 0.99));
-        if snap_total su > 0 then
-          Buffer.add_string lat
-            (Printf.sprintf ",\"unbatched\":%s" (hist_json su));
-        if snap_total sb > 0 then
-          Buffer.add_string lat (Printf.sprintf ",\"batched\":%s" (hist_json sb));
-        Buffer.add_char lat '}';
+             "\"%s\":{\"count\":%d,\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f}"
+             kind (snap_total s)
+             (percentile_of_snap s 0.50)
+             (percentile_of_snap s 0.95)
+             (percentile_of_snap s 0.99));
         wrote := true
       end)
     kinds;

@@ -89,11 +89,9 @@ val incr_result_cache_invalidation : t -> unit
 (** The result cache was flushed (SIGHUP revalidate, or an engine-cache
     eviction of a corrupt/unopenable container). *)
 
-val record_latency : ?batched:bool -> t -> kind:string -> seconds:float -> unit
-(** [batched] (default [false]) routes the sample into the per-kind
-    {e batched-dispatch} histogram instead of the unbatched one, so the
-    two execution paths stay comparable per op type; every reader that
-    does not care about the split sees the merged histogram. *)
+val record_latency : t -> kind:string -> seconds:float -> unit
+(** One request of this kind finished this many seconds after it
+    arrived; feeds the kind's latency histogram. *)
 
 (** {2 Reading} *)
 
@@ -143,8 +141,8 @@ val max_batch_size : t -> int
 
 val percentile_us : t -> kind:string -> float -> float
 (** [percentile_us m ~kind q] with [q] in [0, 1]: approximate latency
-    percentile in microseconds over every recorded request of the kind
-    (batched and unbatched merged); [nan] when none were recorded. *)
+    percentile in microseconds over every recorded request of the kind;
+    [nan] when none were recorded. *)
 
 val to_json :
   ?cache_shards:(int * int * int * int) array ->
@@ -155,8 +153,8 @@ val to_json :
   string
 (** The whole registry as a JSON object (counters by kind, error
     counts, cache hit/miss, queue depth gauge + histogram percentiles,
-    batch-size histogram, p50/p95/p99 per kind with the
-    batched/unbatched split, uptime). [cache_shards] (from
+    batch-size histogram, count and p50/p95/p99 latency per kind,
+    uptime). [cache_shards] (from
     {!Engine_cache.shard_stats}) adds a per-shard cache stats array;
     [result_cache] — (entries, bytes, capacity_bytes, evictions) from
     {!Result_cache.stats} — adds the result cache's size gauges to its

@@ -1,12 +1,12 @@
 (* The serving daemon: epoll-based accept loop + worker domains behind
-   a bounded request queue, drained in batches. See the mli and
-   DESIGN.md §10/§12. *)
+   a bounded request queue. Workers drain the queue greedily and execute
+   each request on its own; replies bound for one connection leave in one
+   write. See the mli and DESIGN.md §10/§12. *)
 
 module G = Pti_core.General_index
 module L = Pti_core.Listing_index
 module Sym = Pti_ustring.Sym
 module U = Pti_ustring.Ustring
-module Logp = Pti_prob.Logp
 module P = Protocol
 module Bq = Pti_parallel.Bqueue
 module Store = Pti_segment.Segment_store
@@ -30,7 +30,6 @@ type config = {
   drain_timeout_ms : float;
   max_conns : int;
   max_json_line : int;
-  batch_max : int;
   result_cache_mb : int;
   compact_interval_ms : float;
   scrub_interval_ms : float;
@@ -51,12 +50,14 @@ let default_config =
     drain_timeout_ms = 5000.0;
     max_conns = 4096;
     max_json_line = P.max_json_line;
-    batch_max = 32;
     result_cache_mb = 64;
     compact_interval_ms = 50.0;
     scrub_interval_ms = 600_000.0;
     scrub_mb_s = 64.0;
   }
+
+(* Most jobs a worker takes off the queue in one [pop_batch]. *)
+let pop_max = 32
 
 (* Per-connection read buffer: a growable byte window [start, start+len)
    that [read(2)] appends to and the framers consume from the front —
@@ -103,7 +104,7 @@ let rbuf_shrink rb =
    the offset (relative to [rbuf.start]) up to which the input is known
    to hold no newline (JSON mode), so a client trickling bytes is not
    rescanned quadratically; [mode] latches on the first byte. [wbuf] is
-   the pooled reply buffer: replies (a whole batch's worth when jobs of
+   the pooled reply buffer: replies (a whole drain's worth when jobs of
    one connection complete together) are encoded into it and written
    with a single syscall, under [write_m] because several workers may
    hold jobs of one pipelined connection. The fd is closed ONLY while
@@ -152,10 +153,19 @@ type t = {
 
 let create ?(config = default_config) sources =
   if sources = [] then invalid_arg "Server.create: no index sources";
+  if config.workers < 1 then invalid_arg "Server.create: workers < 1";
+  if not (Float.is_finite config.deadline_ms && config.deadline_ms > 0.0) then
+    invalid_arg "Server.create: deadline_ms must be finite and > 0";
+  if not (Float.is_finite config.send_timeout_ms && config.send_timeout_ms >= 0.0)
+  then invalid_arg "Server.create: send_timeout_ms must be finite and >= 0";
+  if
+    not
+      (Float.is_finite config.drain_timeout_ms
+      && config.drain_timeout_ms >= 0.0)
+  then invalid_arg "Server.create: drain_timeout_ms must be finite and >= 0";
   if config.max_conns < 1 then invalid_arg "Server.create: max_conns < 1";
   if config.max_json_line < 64 then
     invalid_arg "Server.create: max_json_line < 64";
-  if config.batch_max < 1 then invalid_arg "Server.create: batch_max < 1";
   if config.result_cache_mb < 0 then
     invalid_arg "Server.create: result_cache_mb < 0";
   if
@@ -187,14 +197,14 @@ let create ?(config = default_config) sources =
     queue = Bq.create ~capacity:config.queue_cap;
     cache =
       Engine_cache.create ~verify:config.verify ~capacity:config.cache_cap
-        ~shards:(Stdlib.max 1 config.workers) ();
+        ~shards:config.workers ();
     rcache =
       (if config.result_cache_mb = 0 then None
        else
          Some
            (Result_cache.create
               ~capacity_bytes:(config.result_cache_mb * 1024 * 1024)
-              ~shards:(Stdlib.max 1 config.workers) ()));
+              ~shards:config.workers ()));
     metrics = Metrics.create ();
     stop_flag = Atomic.make false;
     dump_flag = Atomic.make false;
@@ -276,10 +286,10 @@ let stats_json t =
    it), with no per-hit work. *)
 type outcome_r = O_value of P.reply | O_cached of Result_cache.cached
 
-(* Write a batch of replies to one connection: encode them all into the
+(* Write several replies to one connection: encode them all into the
    connection's pooled write buffer under [write_m], then write once —
-   a batched group's replies leave in a single syscall (and, with
-   TCP_NODELAY, a single segment train) instead of one write per
+   one drain's replies for a connection leave in a single syscall (and,
+   with TCP_NODELAY, a single segment train) instead of one write per
    reply. *)
 let write_outcomes t conn items =
   let n = List.length items in
@@ -379,7 +389,9 @@ let resolve t index =
                 Result.Error (P.Bad_index, path ^ ": " ^ Unix.error_message e)
             | e -> raise e))
 
-let hits_of l = List.map (fun (key, p) -> (key, Logp.to_log p)) l
+(* Engine hits are [(key, Logp.t)] with [Logp.t = private float], so the
+   wire form is a free coercion, not a copy of the list. *)
+type wire = (int * float) list
 
 let corpus_only index =
   P.Error
@@ -393,32 +405,29 @@ let execute t op =
       match resolve t index with
       | Result.Error (e, m) -> P.Error (e, m)
       | Ok (R_engine (General g)) ->
-          P.Hits (hits_of (G.query g ~pattern:(Sym.of_string pattern) ~tau))
+          P.Hits (G.query g ~pattern:(Sym.of_string pattern) ~tau :> wire)
       | Ok (R_engine (Listing l)) ->
-          P.Hits (hits_of (L.query l ~pattern:(Sym.of_string pattern) ~tau))
+          P.Hits (L.query l ~pattern:(Sym.of_string pattern) ~tau :> wire)
       | Ok (R_corpus s) ->
-          P.Hits (hits_of (Store.query s ~pattern:(Sym.of_string pattern) ~tau)))
+          P.Hits (Store.query s ~pattern:(Sym.of_string pattern) ~tau :> wire))
   | P.Top_k { index; pattern; tau; k } -> (
       match resolve t index with
       | Result.Error (e, m) -> P.Error (e, m)
       | Ok (R_engine (General g)) ->
-          P.Hits
-            (hits_of (G.query_top_k g ~pattern:(Sym.of_string pattern) ~tau ~k))
+          P.Hits (G.query_top_k g ~pattern:(Sym.of_string pattern) ~tau ~k :> wire)
       | Ok (R_engine (Listing l)) ->
-          P.Hits
-            (hits_of (L.query_top_k l ~pattern:(Sym.of_string pattern) ~tau ~k))
+          P.Hits (L.query_top_k l ~pattern:(Sym.of_string pattern) ~tau ~k :> wire)
       | Ok (R_corpus s) ->
           P.Hits
-            (hits_of
-               (Store.query_top_k s ~pattern:(Sym.of_string pattern) ~tau ~k)))
+            (Store.query_top_k s ~pattern:(Sym.of_string pattern) ~tau ~k :> wire))
   | P.Listing { index; pattern; tau } -> (
       match resolve t index with
       | Result.Error (e, m) -> P.Error (e, m)
       | Ok (R_engine (Listing l)) ->
-          P.Hits (hits_of (L.query l ~pattern:(Sym.of_string pattern) ~tau))
+          P.Hits (L.query l ~pattern:(Sym.of_string pattern) ~tau :> wire)
       | Ok (R_corpus s) ->
           (* a corpus IS a listing collection; same reply as Query *)
-          P.Hits (hits_of (Store.query s ~pattern:(Sym.of_string pattern) ~tau))
+          P.Hits (Store.query s ~pattern:(Sym.of_string pattern) ~tau :> wire)
       | Ok (R_engine (General _)) ->
           P.Error
             ( P.Bad_request,
@@ -467,119 +476,23 @@ let execute_one t job =
             disk_gen mem_gen )
   | e -> P.Error (P.Server_error, Printexc.to_string e)
 
-let record_finish t ~batched job outcome =
+let record_finish t job outcome =
   (match outcome with
   | O_value (P.Error (e, _)) ->
       Metrics.incr_error t.metrics ~err:(P.err_to_string e)
   | O_value _ | O_cached _ -> Metrics.incr_ok t.metrics ~kind:job.jkind);
-  Metrics.record_latency ~batched t.metrics ~kind:job.jkind
+  Metrics.record_latency t.metrics ~kind:job.jkind
     ~seconds:(Unix.gettimeofday () -. job.arrival)
 
-(* Batched dispatch. Threshold queries (and listing queries) against
-   one index are compatible: they collapse into a single
-   [Engine.query_batch] call, which runs the exact per-pattern [query]
-   code into result slots — replies are byte-for-byte what
-   one-at-a-time dispatch would produce (floats travel as raw IEEE-754
-   bits, and [G.query]/[L.query] are precisely what [query_batch]
-   applies per slot). [~domains:1] keeps the batch on this worker
-   domain: parallelism across requests comes from the worker pool,
-   batching only amortises dispatch, cache lookups and pattern
-   transforms. Anything that can fail per job inside a batch (a bad
-   pattern, τ < τ_min, a kind mismatch) falls back to the
-   one-at-a-time path for the whole group, so error replies are also
-   identical to unbatched dispatch. *)
-type group_key = Gquery of int | Glisting of int
-
-(* Only engine-backed indexes batch: corpus queries take the
-   one-at-a-time path, where scatter-gather across the memtable and
-   segments already amortises internally. *)
-let engine_index t index =
-  index >= 0
-  && index < Array.length t.sources
-  && match t.sources.(index) with Source_corpus _ -> false | _ -> true
-
-let group_key t job =
-  match job.jop with
-  | P.Query { index; _ } when engine_index t index -> Some (Gquery index)
-  | P.Listing { index; _ } when engine_index t index -> Some (Glisting index)
-  | _ -> None
-
-let run_group t key jobs =
-  let index = match key with Gquery i | Glisting i -> i in
-  match resolve t index with
-  | Result.Error (e, m) -> List.map (fun j -> (j, P.Error (e, m))) jobs
-  | Ok (R_corpus _) ->
-      (* unreachable via [group_key]; stay total and correct anyway *)
-      List.map (fun j -> (j, execute_one t j)) jobs
-  | Ok (R_engine handle) -> (
-      match
-        let pattern_of j =
-          match j.jop with
-          | P.Query { pattern; tau; _ } | P.Listing { pattern; tau; _ } ->
-              (Sym.of_string pattern, tau)
-          | _ -> assert false
-        in
-        let patterns = Array.of_list (List.map pattern_of jobs) in
-        let results =
-          match (key, handle) with
-          | Gquery _, General g -> G.query_batch ~domains:1 g ~patterns
-          | (Gquery _ | Glisting _), Listing l ->
-              L.query_batch ~domains:1 l ~patterns
-          | Glisting _, General _ ->
-              (* kind mismatch: identical per-job Bad_request replies
-                 come from the fallback *)
-              raise Exit
-        in
-        List.mapi (fun i j -> (j, P.Hits (hits_of results.(i)))) jobs
-      with
-      | replies -> replies
-      | exception _ -> List.map (fun j -> (j, execute_one t j)) jobs)
-
-(* Execute [jobs] and return every (job, batched?, reply), preserving
-   the grouped batched dispatch above. *)
-let run_jobs t jobs =
-  match jobs with
-  | [] -> []
-  | [ job ] -> [ (job, false, execute_one t job) ]
-  | _ ->
-      let groups : (group_key, job list ref) Hashtbl.t = Hashtbl.create 8 in
-      let order = ref [] in
-      let singles = ref [] in
-      List.iter
-        (fun job ->
-          match group_key t job with
-          | None -> singles := job :: !singles
-          | Some k -> (
-              match Hashtbl.find_opt groups k with
-              | Some r -> r := job :: !r
-              | None ->
-                  Hashtbl.add groups k (ref [ job ]);
-                  order := k :: !order))
-        jobs;
-      let out = ref [] in
-      List.iter
-        (fun k ->
-          match List.rev !(Hashtbl.find groups k) with
-          | [ j ] -> out := (j, false, execute_one t j) :: !out
-          | group ->
-              List.iter
-                (fun (j, r) -> out := (j, true, r) :: !out)
-                (run_group t k group))
-        (List.rev !order);
-      List.iter
-        (fun j -> out := (j, false, execute_one t j) :: !out)
-        (List.rev !singles);
-      List.rev !out
-
-(* Drain one batch of jobs through the result cache and the engine.
+(* Run one drain of jobs through the result cache and the engine.
 
    Phases (the order is the deadlock discipline — see Result_cache):
    1. look every job up without blocking. Hits are answered from cached
       bytes; a [Fresh] token makes this worker the key's owner (same-key
-      duplicates within the batch piggyback on the owner instead of
+      duplicates within the drain piggyback on the owner instead of
       re-probing, so a worker never waits on a flight it owns itself);
       [Busy] jobs — another worker owns the computation — are deferred.
-   2. execute the owned misses (grouped/batched exactly as before) and
+   2. execute the owned misses, each on its own ([execute_one]), and
       settle every token: cacheable replies ([Hits], including empty
       ones — negative caching) fill the cache, errors cancel so they
       are never cached; piggybacked duplicates reuse the result.
@@ -587,7 +500,7 @@ let run_jobs t jobs =
    4. flush: replies grouped per connection go out as one coalesced
       write each.
 
-   Tokens are settled even if execution dies mid-batch (the [finally]
+   Tokens are settled even if execution dies mid-drain (the [finally]
    cancels leftovers) — an unsettled token would hang its waiters. *)
 
 (* Cache key for a job. Corpus-backed indexes suffix the manifest
@@ -616,7 +529,7 @@ let execute_jobs t jobs =
   | [] -> ()
   | jobs ->
       let out = ref [] in
-      let emit job ~batched o = out := (job, batched, o) :: !out in
+      let emit job o = out := (job, o) :: !out in
       let deferred = ref [] in
       let own : (string, Result_cache.token * job list ref) Hashtbl.t =
         Hashtbl.create 8
@@ -634,7 +547,7 @@ let execute_jobs t jobs =
                   | Some (_tok, piggy) -> piggy := job :: !piggy
                   | None -> (
                       match Result_cache.find rc ~metrics:t.metrics key with
-                      | Result_cache.Hit c -> emit job ~batched:false (O_cached c)
+                      | Result_cache.Hit c -> emit job (O_cached c)
                       | Result_cache.Busy fl -> deferred := (job, fl) :: !deferred
                       | Result_cache.Fresh tok ->
                           Hashtbl.add own key (tok, ref []);
@@ -651,10 +564,10 @@ let execute_jobs t jobs =
                     (P.Error (P.Server_error, "request dropped")))
                 own)
         (fun () ->
-          let results = run_jobs t (List.rev !exec) in
           List.iter
-            (fun (job, batched, reply) ->
-              emit job ~batched (O_value reply);
+            (fun job ->
+              let reply = execute_one t job in
+              emit job (O_value reply);
               match t.rcache with
               | None -> ()
               | Some rc -> (
@@ -676,27 +589,27 @@ let execute_jobs t jobs =
                               in
                               Result_cache.fill rc tok cached;
                               List.iter
-                                (fun pj -> emit pj ~batched (O_cached cached))
+                                (fun pj -> emit pj (O_cached cached))
                                 (List.rev !piggy)
                           | _ ->
                               Result_cache.cancel rc tok reply;
                               List.iter
-                                (fun pj -> emit pj ~batched (O_value reply))
+                                (fun pj -> emit pj (O_value reply))
                                 (List.rev !piggy)))))
-            results);
+            (List.rev !exec));
       List.iter
         (fun (job, fl) ->
           match Result_cache.wait fl with
-          | Result_cache.Settled_cached c -> emit job ~batched:false (O_cached c)
-          | Result_cache.Settled_reply r -> emit job ~batched:false (O_value r))
+          | Result_cache.Settled_cached c -> emit job (O_cached c)
+          | Result_cache.Settled_reply r -> emit job (O_value r))
         (List.rev !deferred);
       let items = List.rev !out in
-      List.iter (fun (job, batched, o) -> record_finish t ~batched job o) items;
-      (* group replies by connection (physical equality; a batch rarely
+      List.iter (fun (job, o) -> record_finish t job o) items;
+      (* group replies by connection (physical equality; a drain rarely
          spans more than a handful of conns), one coalesced write each *)
       let conns = ref [] in
       List.iter
-        (fun (job, _batched, o) ->
+        (fun (job, o) ->
           let r =
             match List.find_opt (fun (c, _) -> c == job.jconn) !conns with
             | Some (_, r) -> r
@@ -713,7 +626,7 @@ let execute_jobs t jobs =
 
 let worker_loop t =
   (* flush this domain's GC deltas into the shared registry once per
-     drained batch — outside the per-job path, so the observability
+     drain — outside the per-job path, so the observability
      itself stays off the hot path *)
   let gc_flush = Metrics.gc_sampler t.metrics in
   let rec go () =
@@ -721,14 +634,14 @@ let worker_loop t =
        task; the uncaught exception is logged, counted and the domain
        respawned by [worker_shell] below *)
     ignore (Pti_fault.hit "server.worker" : int option);
-    match Bq.pop_batch t.queue ~max:t.cfg.batch_max ~deadline:infinity with
+    match Bq.pop_batch t.queue ~max:pop_max ~deadline:infinity with
     | None -> ()
     | Some [] -> go ()
     | Some jobs ->
         Metrics.record_batch_size t.metrics (List.length jobs);
         let now = Unix.gettimeofday () in
         (* drain-expired and deadline-expired jobs get their typed
-           replies first, exactly as the unbatched loop answered them *)
+           replies first and are never executed *)
         let runnable =
           List.filter
             (fun job ->
@@ -932,7 +845,7 @@ let try_close conn =
 let run t =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  for _ = 1 to Stdlib.max 1 t.cfg.workers do
+  for _ = 1 to t.cfg.workers do
     spawn_worker t
   done;
   (* Background compactor: one domain polling every corpus source's
@@ -1213,7 +1126,7 @@ let run t =
   Pti_epoll.remove ep t.listen_fd;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   let drain_deadline =
-    Unix.gettimeofday () +. (Stdlib.max 0.0 t.cfg.drain_timeout_ms /. 1000.0)
+    Unix.gettimeofday () +. (t.cfg.drain_timeout_ms /. 1000.0)
   in
   Atomic.set t.drain_deadline drain_deadline;
   while Bq.length t.queue > 0 && Unix.gettimeofday () < drain_deadline do

@@ -5,13 +5,10 @@
     poll elsewhere — no [FD_SETSIZE] connection ceiling), parses
     complete frames, and hands each request — stamped with an arrival
     time and a deadline — to a bounded {!Pti_parallel.Bqueue}. Worker
-    domains drain the queue in {e batches}
-    ({!Pti_parallel.Bqueue.pop_batch}): threshold/listing queries
-    against one index collapse into a single
-    {!Pti_core.Engine.query_batch} call, amortising dispatch, cache
-    lookup and pattern-transform costs; replies are byte-for-byte
-    identical to one-at-a-time dispatch (§12 gives the argument).
-    Queries are pure reads of immutable engines, so workers share
+    domains drain the queue greedily
+    ({!Pti_parallel.Bqueue.pop_batch}, up to 32 jobs at a time) and
+    execute every request on its own; the replies one drain produces
+    for one connection go out in a single write. Queries are pure reads of immutable engines, so workers share
     handles with no locking; the only synchronisation on the hot path is
     the queue itself, the per-shard engine-cache mutexes, and a
     per-connection write mutex (replies from different workers may
@@ -52,23 +49,26 @@ type config = {
   host : string;  (** Bind address (default "127.0.0.1"). *)
   port : int;  (** 0 picks an ephemeral port; see {!port}. *)
   workers : int;  (** Worker domains (default
-                      {!Pti_parallel.num_domains}[ ()]). *)
+                      {!Pti_parallel.num_domains}[ ()]; at least 1). *)
   queue_cap : int;  (** Request queue bound (default 1024). *)
-  deadline_ms : float;  (** Per-request deadline (default 5000). *)
+  deadline_ms : float;
+      (** Per-request deadline (default 5000; finite and positive). *)
   cache_cap : int;  (** Open-engine LRU capacity (default 8). *)
   verify : bool;  (** Checksum containers on open (default [true]). *)
   debug_slow : bool;
       (** Allow the [Slow] debug op (default [false]; tests and the
           bench enable it to provoke overload/timeouts). *)
   send_timeout_ms : float;
-      (** [SO_SNDTIMEO] on accepted sockets (default 5000; [0] disables).
+      (** [SO_SNDTIMEO] on accepted sockets (default 5000; [0] disables;
+          finite and non-negative).
           A client that stops reading while its socket buffer is full
           stalls a reply writer for at most this long, after which the
           write fails and the connection is dropped — one slow client
           cannot pin the accept loop or the worker pool indefinitely. *)
   drain_timeout_ms : float;
       (** How long {!stop} lets already-queued requests keep completing
-          before the rest are answered [Shutting_down] (default 5000).
+          before the rest are answered [Shutting_down] (default 5000;
+          finite and non-negative).
           New requests arriving during the drain are refused with
           [Shutting_down] immediately. *)
   max_conns : int;
@@ -79,9 +79,6 @@ type config = {
   max_json_line : int;
       (** Upper bound on one line of the JSON fallback protocol
           (default {!Protocol.max_json_line}, 1 MiB). *)
-  batch_max : int;
-      (** Most jobs a worker drains from the queue in one batched pop
-          (default 32). [1] disables batching entirely. *)
   result_cache_mb : int;
       (** Byte budget (MiB) of the server-side query-result cache
           (default 64; [0] disables it). The cache stores {e encoded}
@@ -125,8 +122,11 @@ val create : ?config:config -> source list -> t
 (** Bind and listen (so {!port} is known immediately); request index
     ids are positions in the source list. Raises [Unix.Unix_error] if
     the address cannot be bound, [Invalid_argument] on an empty source
-    list or invalid bounds ([max_conns < 1], [max_json_line < 64],
-    [batch_max < 1]). File sources are opened lazily at first request,
+    list or invalid bounds ([workers < 1], [deadline_ms] not finite and
+    positive, [send_timeout_ms] or [drain_timeout_ms] not finite and
+    non-negative, [max_conns < 1], [max_json_line < 64], a negative
+    [result_cache_mb], [compact_interval_ms], [scrub_interval_ms] or
+    [scrub_mb_s]). File sources are opened lazily at first request,
     so a missing/corrupt file is a per-request [Bad_index] reply, not a
     startup failure. The engine cache is sharded per worker domain
     (paths hash to a shard; see {!Engine_cache.create}). *)

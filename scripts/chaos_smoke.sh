@@ -280,8 +280,10 @@ echo "chaos-smoke: bit-flip quarantined, compaction restored a clean corpus"
 # Flag validation: malformed serve knobs must exit 2 up front, never
 # reach runtime.
 
-for bad in "--compact-interval-ms=-1" "--warmup-ms=-1" "--batch-max=0" \
-           "--wal-sync=sometimes" "--scrub-interval-ms=-5" "--scrub-mb-s=-1"; do
+for bad in "--compact-interval-ms=-1" "--warmup-ms=-1" \
+           "--wal-sync=sometimes" "--scrub-interval-ms=-5" "--scrub-mb-s=-1" \
+           "--deadline-ms=-1" "--deadline-ms=nan" "--workers=0" \
+           "--send-timeout-ms=nan" "--drain-timeout-ms=-5"; do
     rc=0
     "$PTI" serve "$DIR/idx.pti" --port 0 "$bad" >/dev/null 2>&1 || rc=$?
     [ "$rc" -eq 2 ] || { echo "chaos-smoke: serve $bad should exit 2, got $rc" >&2; exit 1; }

@@ -376,7 +376,7 @@ let test_build_determinism metric () =
           true
           (String.equal reference (engine_bytes g)))
       (List.tl built);
-    (* identical query / query_batch / query_top_k answers *)
+    (* identical query / pooled query / query_top_k answers *)
     let patterns =
       Array.init 12 (fun _ ->
           (H.random_pattern rng u 10, 0.1 +. Random.State.float rng 0.6))
@@ -397,7 +397,9 @@ let test_build_determinism metric () =
             Alcotest.(check bool)
               (Printf.sprintf "query_batch domains=%d/%d" d bd)
               true
-              (G.query_batch ~domains:bd g ~patterns = want))
+              (Par.parallel_map_array ~domains:bd
+                 (fun (pattern, tau) -> G.query g ~pattern ~tau) patterns
+              = want))
           domain_counts;
         Array.iter
           (fun (p, tau) ->
@@ -444,7 +446,7 @@ let test_listing_determinism () =
 let test_load_parallel () =
   (* Opening a saved index rebuilds nothing, so the domain count has no
      say; the reopened file must answer like the freshly built index
-     (batched on the pool in test_storage's 4-domain roundtrip). *)
+     (queried on the pool in test_storage's 4-domain roundtrip). *)
   let rng = H.rng_of_seed 93 in
   let u = H.random_ustring rng 60 4 3 in
   let g = G.build ~tau_min:0.1 u in

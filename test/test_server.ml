@@ -59,10 +59,29 @@ let with_conn port f =
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () -> f fd)
 
-let contains haystack needle =
+(* Offset just past the first [needle] in [haystack]. *)
+let find_after haystack needle =
   let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  n = 0 || go 0
+  let rec go i =
+    if i + n > h then None
+    else if String.sub haystack i n = needle then Some (i + n)
+    else go (i + 1)
+  in
+  go 0
+
+let contains haystack needle = find_after haystack needle <> None
+
+(* The body of the first flat object ["key":{...}] in a stats payload. *)
+let json_obj s key =
+  match find_after s (Printf.sprintf "\"%s\":{" key) with
+  | None -> Alcotest.failf "no %S object in %s" key s
+  | Some i -> String.sub s i (String.index_from s i '}' - i)
+
+(* The numeric field [key] of a flat JSON object. *)
+let json_num obj key =
+  match find_after obj (Printf.sprintf "\"%s\":" key) with
+  | None -> Alcotest.failf "no %S in %s" key obj
+  | Some i -> Scanf.sscanf (String.sub obj i (String.length obj - i)) "%f" Fun.id
 
 let rpc fd req =
   P.write_all fd (P.encode_request req);
@@ -847,11 +866,11 @@ let test_many_connections () =
             (Pti_server.Metrics.connections_shed (Server.metrics srv))))
 
 let test_batched_identity () =
-  (* worker-side batching: stall the single worker behind a Slow op so
-     a burst of pipelined queries piles up in the queue, is drained as
-     one batch, and every reply is byte-for-byte identical to a direct
-     engine call — errors included (a poisoned job in a batch falls the
-     whole group back to one-at-a-time execution) *)
+  (* worker-side draining: stall the single worker behind a Slow op so
+     a burst of pipelined queries piles up in the queue and is drained
+     in one pop, and every reply is byte-for-byte identical to a direct
+     engine call — typed errors included; the stats payload keeps the
+     shape the benchmark reads *)
   let u, docs, g, l, gpath, lpath = Lazy.force fixture in
   let config =
     { (base_config 1) with debug_slow = true; queue_cap = 256 }
@@ -926,7 +945,6 @@ let test_batched_identity () =
             (Pti_server.Metrics.max_batch_size m >= 2);
           Alcotest.(check bool) "batch rounds counted" true
             (Pti_server.Metrics.batches m >= 1);
-          (* the stats payload exposes the new instrumentation *)
           match rpc fd { P.id = 99; op = P.Stats } with
           | _, P.Stats_reply s ->
               List.iter
@@ -934,10 +952,28 @@ let test_batched_identity () =
                   Alcotest.(check bool)
                     (Printf.sprintf "stats mentions %s" needle)
                     true (contains s needle))
-                [
-                  "\"batches\""; "\"connections_shed\""; "\"cache_shards\"";
-                  "\"batched\"";
-                ]
+                [ "\"connections_shed\""; "\"cache_shards\"" ];
+              let b = json_obj s "batches" in
+              let count = json_num b "count" and jobs = json_num b "jobs" in
+              Alcotest.(check bool) "batches.jobs >= count >= 1" true
+                (jobs >= count && count >= 1.0);
+              Alcotest.(check bool) "batches.max_size >= 2" true
+                (json_num b "max_size" >= 2.0);
+              List.iter
+                (fun kind ->
+                  (* only the latency object maps "query"/"listing" to
+                     objects *)
+                  let o = json_obj s kind in
+                  List.iter
+                    (fun f ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "latency.%s.%s" kind f)
+                        true
+                        (json_num o f > 0.0))
+                    [ "count"; "p50_us"; "p95_us"; "p99_us" ])
+                [ "query"; "listing" ];
+              Alcotest.(check bool) "no unbatched split" false
+                (contains s "\"unbatched\"" || contains s "\"batched\"")
           | _ -> Alcotest.fail "expected stats reply"))
 
 let test_cache_shards () =
@@ -1714,9 +1750,9 @@ let test_reload_invalidation_ordering () =
                   F.disarm "cache.open"))))
 
 let test_reload_races_batched_group () =
-  (* a SIGHUP reload racing an in-flight batched query group: with the
-     single worker stalled at its batch-pop failpoint, a pipelined
-     burst of identical queries queues up as one batch, the container
+  (* a SIGHUP reload racing an in-flight drain of queries: with the
+     single worker stalled at its pop failpoint, a pipelined burst of
+     identical queries queues up as one drain, the container
      is atomically replaced and reloaded mid-stall, and then every
      reply must decode and be byte-identical to the old engine's
      answer, the new engine's answer, or a typed bad_index — never a

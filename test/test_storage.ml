@@ -9,7 +9,7 @@
    - heap-built vs reopened-mmap engines answering byte-identically
      across the full configuration matrix (metric × range-search ×
      ladder × rmq kind, with and without correlations), including
-     batched queries on a 4-domain pool;
+     concurrent queries on a 4-domain pool;
    - retired formats (PTI-ENGINE-2/-3, float32 sections, two-field
      engine meta, the marshalled "fm" blob) refused by every loader
      with a typed [Corrupt]. *)
@@ -592,9 +592,12 @@ let test_roundtrip_special () =
         done)
   done
 
-(* Batched queries on the reopened index: the mapped sections are read
+(* Pooled queries on the reopened index: the mapped sections are read
    concurrently by the domain pool (PTI_DOMAINS=4). *)
 let test_roundtrip_batch_domains () =
+  let on_pool query =
+    Pti_parallel.parallel_map_array (fun (pattern, tau) -> query ~pattern ~tau)
+  in
   Unix.putenv "PTI_DOMAINS" "4";
   Fun.protect
     ~finally:(fun () -> Unix.putenv "PTI_DOMAINS" "")
@@ -606,10 +609,8 @@ let test_roundtrip_batch_domains () =
       with_tmp (fun path ->
           G.save g path;
           let g' = G.load path in
-          let a = G.query_batch g ~patterns in
-          let b = G.query_batch g' ~patterns in
-          Alcotest.(check bool) "batched answers identical on 4 domains" true
-            (a = b));
+          Alcotest.(check bool) "pooled answers identical on 4 domains" true
+            (on_pool (G.query g) patterns = on_pool (G.query g') patterns));
       let docs = List.init 6 (fun _ -> H.random_ustring rng 20 3 2) in
       let l = L.build ~relevance:L.Rel_or ~tau_min:0.1 docs in
       let patterns =
@@ -620,8 +621,8 @@ let test_roundtrip_batch_domains () =
       with_tmp (fun path ->
           L.save l path;
           let l' = L.load path in
-          Alcotest.(check bool) "listing batch identical on 4 domains" true
-            (L.query_batch l ~patterns = L.query_batch l' ~patterns)))
+          Alcotest.(check bool) "listing pooled identical on 4 domains" true
+            (on_pool (L.query l) patterns = on_pool (L.query l') patterns)))
 
 (* ------------------------------------------------------------------ *)
 (* Retired formats: the marshalled PTI-ENGINE-2 stream, PTI-ENGINE-3
