@@ -59,8 +59,8 @@ bench-hotpath:
 
 # Dynamic corpus (DESIGN.md §15): scatter-gather query latency as the
 # same document set is cut into 1/2/4/8 sealed segments (every cut
-# verified to answer the workload equivalently) plus the throughput of
-# force-compacting the 8-segment corpus back to one; each row carries
+# verified to answer the workload identically, bit for bit) plus the
+# throughput of force-compacting the 8-segment corpus back to one; each row carries
 # peak_rss_bytes so the sweep doubles as the space-amortisation
 # profile. Writes BENCH_LSM.json.
 bench-lsm:

@@ -1523,15 +1523,12 @@ let serve_bench ?(sweep_only = false) ?(hotpath_only = false) () =
    only thing that varies across rows is how many mmap engines a query
    fans over and how many sorted answer lists the bounded-heap merge
    folds. Every cut is verified to answer the whole workload
-   equivalently — the same live document ids, with relevances agreeing
-   to 1e-9. (Not bit-identical: a document's relevance comes out of
-   prefix accumulations over its segment's concatenated text, so the
-   float association order — and hence the last couple of bits —
-   depends on which documents share the segment. Byte-determinism is
-   per-layout, which is exactly what loadgen --verify checks against a
-   live directory.) The 8-segment corpus is then force-compacted back
-   to one segment (throughput row), after which its answers must again
-   be equivalent. Rows carry peak_rss_bytes so
+   identically — the same live document ids with bit-identical
+   relevances, because prefix sums are factor-local (DESIGN.md §2.1):
+   a document's relevance does not depend on which documents share its
+   segment. The 8-segment corpus is then force-compacted back to one
+   segment (throughput row), after which its answers must again be
+   identical. Rows carry peak_rss_bytes so
    the sweep doubles as the space-amortisation profile: segment files
    are mmap'd, so resident cost grows with touched pages, not with the
    sum of file sizes. Writes BENCH_LSM.json (`make bench-lsm`). *)
@@ -1556,8 +1553,8 @@ let lsm () =
     "lsm: dynamic corpus — scatter-gather latency vs live segment count"
     (Printf.sprintf
        "n=%d positions, %d documents, theta=%.1f tau=%.2f tau_min=%.2f, \
-        %d queries; every cut must answer the workload equivalently \
-        (same ids, relevances to 1e-9, τ-boundary docs may flip); \
+        %d queries; every cut must answer the workload identically \
+        (same ids, bit-identical relevances); \
         compaction throughput measured force-merging the 8-segment corpus"
        n ndocs theta tau_default tau_min_default (List.length queries));
   let tmp_root = Filename.temp_file "pti_bench_lsm" ".d" in
@@ -1589,38 +1586,10 @@ let lsm () =
     (s, build_s)
   in
   Printf.printf "%10s %10s %12s %12s %12s %11s\n" "segments" "build_s"
-    "query_us" "seg_MB" "equivalent" "peak_rss_MB";
+    "query_us" "seg_MB" "identical" "peak_rss_MB";
   let reference = ref [] in
   let answers s =
     List.map (fun p -> St.query s ~pattern:p ~tau:tau_default) queries
-  in
-  (* same live ids with relevances to 1e-9 — except that a document
-     whose probability lands exactly on the τ cut may be included by
-     one layout and excluded by another (its last float bits depend on
-     the association order; at n=2e4 a doc at p = τ + 1.5e-13 flips),
-     so an id present on one side only is tolerated iff its probability
-     is within 1e-9 of τ. See the float-association note in the section
-     comment for why this is not bitwise [=]. *)
-  let equivalent a b =
-    let by_id l = List.sort (fun (i, _) (j, _) -> compare i j) l in
-    let close x y =
-      Float.abs (x -. y)
-      <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y))
-    in
-    let at_tau p = close (exp (Logp.to_log p)) tau_default in
-    let rec walk a b =
-      match (a, b) with
-      | [], [] -> true
-      | (_, p) :: rest, [] | [], (_, p) :: rest -> at_tau p && walk rest []
-      | (i, p) :: ra, (j, q) :: rb ->
-          if i = j then close (Logp.to_log p) (Logp.to_log q) && walk ra rb
-          else if i < j then at_tau p && walk ra b
-          else at_tau q && walk a rb
-    in
-    walk (by_id a) (by_id b)
-  in
-  let equivalent_answers got want =
-    List.length got = List.length want && List.for_all2 equivalent got want
   in
   let rows =
     List.map
@@ -1632,14 +1601,14 @@ let lsm () =
             (Printf.sprintf "lsm: expected %d segments, sealed %d" cuts
                st.St.st_segments);
         let got = answers s in
-        let equiv =
+        let identical =
           match !reference with
           | [] ->
               reference := got;
               true
-          | want -> equivalent_answers got want
+          | want -> got = want
         in
-        if not equiv then
+        if not identical then
           failwith
             (Printf.sprintf
                "lsm: %d-segment corpus answers differ from the 1-segment cut"
@@ -1654,7 +1623,7 @@ let lsm () =
         Printf.printf "%10d %10.2f %12.1f %12.2f %12b %11.1f\n" cuts build_s
           q_us
           (float_of_int st.St.st_segment_bytes /. (1024. *. 1024.))
-          equiv
+          identical
           (float_of_int rss /. (1024. *. 1024.));
         (cuts, s, build_s, q_us, st, rss))
       segment_counts
@@ -1666,19 +1635,19 @@ let lsm () =
     let merged, compact_s = time (fun () -> St.compact ~force:true s) in
     if not merged then failwith "lsm: forced compaction had nothing to do";
     let st' = St.stats s in
-    let equivalent_after = equivalent_answers (answers s) !reference in
-    if not equivalent_after then
+    let identical_after = answers s = !reference in
+    if not identical_after then
       failwith "lsm: answers changed across forced compaction";
     let docs_per_s =
       float_of_int st.St.st_live_docs /. Float.max 1e-9 compact_s
     in
     Printf.printf
       "   compaction: %d -> %d segments, %d docs in %.2fs (%.0f docs/s), \
-       answers equivalent: %b\n"
+       answers identical: %b\n"
       cuts st'.St.st_segments st.St.st_live_docs compact_s docs_per_s
-      equivalent_after;
+      identical_after;
     ( cuts, st'.St.st_segments, st.St.st_live_docs, compact_s, docs_per_s,
-      equivalent_after, peak_rss_bytes () )
+      identical_after, peak_rss_bytes () )
   in
   (* WAL durability vs throughput: pure memtable insert rate under each
      fsync policy, one fresh corpus per row so every insert pays exactly
@@ -1733,16 +1702,11 @@ let lsm () =
             query_us_per_query = mean over the mixed 4/8-symbol workload, \
             best of three passes, scatter-gathered across all live mmap \
             segments with the bounded-heap merge. every cut's answers are \
-            verified equivalent to the 1-segment cut before being measured \
-            and again after the forced compaction: same live document ids, \
-            relevances agreeing to 1e-9 (a relevance comes out of prefix \
-            accumulations over its segment's concatenated text, so the \
-            float association order depends on the layout and the last \
-            bits can differ; a document whose probability lands exactly on \
-            the τ cut may therefore be included by one layout and not \
-            another, tolerated iff its probability is within 1e-9 of τ; \
-            byte-determinism is per-layout, which is what \
-            loadgen --verify proves against a live directory). \
+            verified identical (=) to the 1-segment cut before being \
+            measured and again after the forced compaction: same live \
+            document ids, bit-identical relevances (prefix sums are \
+            factor-local, so a relevance does not depend on which \
+            documents share a segment). \
             peak_rss_bytes is the process VmHWM when the row completed \
             (monotone within the run). compaction = force-merge of the \
             8-segment corpus to one segment; docs_per_s = live docs / \
@@ -1752,7 +1716,7 @@ let lsm () =
           Printf.fprintf oc
             "    {\"segments\": %d, \"build_s\": %.4f, \
              \"query_us_per_query\": %.2f, \"segment_file_bytes\": %d, \
-             \"live_docs\": %d, \"equivalent_answers\": true, \
+             \"live_docs\": %d, \"identical_answers\": true, \
              \"peak_rss_bytes\": %d}%s\n"
             cuts build_s q_us st.St.st_segment_bytes st.St.st_live_docs rss
             (if i = List.length rows - 1 then "" else ","))
@@ -1766,7 +1730,7 @@ let lsm () =
             policy inserts secs rate wal_bytes
             (if i = List.length wal_rows - 1 then "" else ","))
         wal_rows;
-      let ( in_segs, out_segs, live, compact_s, docs_per_s, equivalent_after,
+      let ( in_segs, out_segs, live, compact_s, docs_per_s, identical_after,
             rss ) =
         compaction
       in
@@ -1774,9 +1738,9 @@ let lsm () =
         "  ],\n  \"compaction\": {\n\
         \    \"input_segments\": %d, \"output_segments\": %d, \"docs\": %d,\n\
         \    \"seconds\": %.4f, \"docs_per_s\": %.1f,\n\
-        \    \"equivalent_answers_after\": %b, \"peak_rss_bytes\": %d\n\
+        \    \"identical_answers_after\": %b, \"peak_rss_bytes\": %d\n\
         \  }\n}\n"
-        in_segs out_segs live compact_s docs_per_s equivalent_after rss);
+        in_segs out_segs live compact_s docs_per_s identical_after rss);
   Printf.printf "   wrote BENCH_LSM.json\n"
 
 (* ------------------------------------------------------------------ *)

@@ -344,9 +344,10 @@ let corpus_stats ~json dir =
   let st = St.stats s in
   if json then begin
     Printf.printf
-      {|{"dir":%s,"generation":%d,"segments":%d,"segment_bytes":%d,"memtable_docs":%d,"memtable_bytes":%d,"live_docs":%d,"tombstones":%d,"tombstone_ratio":%.6f,"next_doc_id":%d,"degraded_segments":%d,"wal_records":%d,"wal_bytes":%d}|}
+      {|{"dir":%s,"generation":%d,"segments":%d,"segment_bytes":%d,"memtable_docs":%d,"memtable_runs":%d,"memtable_bytes":%d,"live_docs":%d,"tombstones":%d,"tombstone_ratio":%.6f,"next_doc_id":%d,"degraded_segments":%d,"wal_records":%d,"wal_bytes":%d}|}
       (json_str dir) st.St.st_generation st.St.st_segments st.St.st_segment_bytes
-      st.St.st_memtable_docs st.St.st_memtable_bytes st.St.st_live_docs
+      st.St.st_memtable_docs st.St.st_memtable_runs st.St.st_memtable_bytes
+      st.St.st_live_docs
       st.St.st_tombstones (St.tombstone_ratio st) st.St.st_next_doc_id
       st.St.st_degraded_segments st.St.st_wal_records st.St.st_wal_bytes;
     print_newline ()
@@ -359,7 +360,8 @@ let corpus_stats ~json dir =
     Printf.printf "live docs:      %d\n" st.St.st_live_docs;
     Printf.printf "tombstones:     %d (ratio %.3f)\n" st.St.st_tombstones
       (St.tombstone_ratio st);
-    Printf.printf "memtable:       %d doc(s)\n" st.St.st_memtable_docs;
+    Printf.printf "memtable:       %d doc(s) in %d run(s)\n"
+      st.St.st_memtable_docs st.St.st_memtable_runs;
     Printf.printf "next doc id:    %d\n" st.St.st_next_doc_id;
     if st.St.st_degraded_segments > 0 then
       Printf.printf "DEGRADED:       %d quarantined segment(s)\n"

@@ -158,8 +158,13 @@ let bit_set b j =
     (Char.chr (Char.code (Bytes.get b (j lsr 3)) lor (1 lsl (j land 7))))
 
 (* OR metric over a key's distinct positions: sum - product, clamped to
-   [0, 1] (§6; see Oracle.relevance_or). Input: list of (pos, log p). *)
+   [0, 1] (§6; see Oracle.relevance_or). Input: list of (pos, log p).
+   Summed in ascending position order: the callers collect entries in
+   hash tables whose iteration order follows global text positions, so
+   any other order would make a document's relevance depend on which
+   documents share its container. *)
 let or_value entries =
+  let entries = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
   let sum = ref 0.0 and prod = ref 1.0 in
   List.iter
     (fun (_, l) ->
@@ -169,6 +174,15 @@ let or_value entries =
     entries;
   let v = Float.max 0.0 (Float.min 1.0 (!sum -. !prod)) in
   if v <= 0.0 then neg_infinity else Float.min 0.0 (log v)
+
+(* Record position [p]'s value for the OR metric. Overlapping factors
+   can hold the same window at several slots, whose factor-local sums
+   may differ in the last bit; keeping the maximum makes the entry
+   independent of the slots' suffix-array order. *)
+let or_entry h p v =
+  match Hashtbl.find_opt h p with
+  | Some u when u >= v -> ()
+  | _ -> Hashtbl.replace h p v
 
 (* The level-[level] metric value of suffix-array slot [j]: what the
    per-level RMQs index. Shared between construction and mmap reopen so
@@ -255,7 +269,7 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
                       Hashtbl.replace occ key h;
                       h
                 in
-                Hashtbl.replace h pos.(sa.(s)) scratch_v.(s)
+                or_entry h pos.(sa.(s)) scratch_v.(s)
               end
             done;
             Hashtbl.iter
@@ -474,7 +488,7 @@ let long_query_or t ~m ~l ~r ~ltau =
             Hashtbl.replace per_key key h;
             h
       in
-      Hashtbl.replace positions p v
+      or_entry positions p v
     end
   done;
   Hashtbl.fold

@@ -2,14 +2,16 @@ module S = Pti_storage
 
 type t = {
   n : int;
-  cum : S.floats; (* cum.(i) = sum of finite logs of positions [0..i-1] *)
+  cum : S.floats;
+      (* cum.(i) = sum of finite logs of positions [r..i-1], where r is 0
+         or one past the last restart position before i *)
   zeros : S.ints; (* zeros.(i) = number of zero-probability positions in [0..i-1] *)
   logs : S.floats option; (* per-position raw log values; None when the
                              container dropped them (succinct backend) —
                              [get] then derives from cum/zeros diffs *)
 }
 
-let of_logps logs =
+let of_logps ?(restart_after = fun _ -> false) logs =
   let n = Array.length logs in
   let cum = Array.make (n + 1) 0.0 in
   let zeros = Array.make (n + 1) 0 in
@@ -22,7 +24,8 @@ let of_logps logs =
     else begin
       cum.(i + 1) <- cum.(i) +. l;
       zeros.(i + 1) <- zeros.(i)
-    end
+    end;
+    if restart_after i then cum.(i + 1) <- 0.0
   done;
   {
     n;

@@ -9,10 +9,17 @@
 
 type t
 
-val of_logps : Logp.t array -> t
+val of_logps : ?restart_after:(int -> bool) -> Logp.t array -> t
 (** [of_logps a] preprocesses the per-position log probabilities [a] in
     O(n). Zero probabilities are handled exactly (a window containing a
-    zero has probability zero; other windows are unaffected). *)
+    zero has probability zero; other windows are unaffected).
+
+    [restart_after i] (default: never) restarts the sums after
+    position [i], so a window inside one restart-delimited block gets
+    bit-for-bit the value of an array built over that block alone. A
+    window containing a restart position is meaningless. Without raw
+    logs (see {!of_storage}) {!get} returns probability 1 at a restart
+    position (0 if its probability is zero). *)
 
 val of_probs : float array -> t
 (** Convenience: probabilities in [0, 1]; validated like
@@ -30,7 +37,7 @@ val window : t -> pos:int -> len:int -> Logp.t
 
 val prefix : t -> int -> Logp.t
 (** [prefix t j] is the product of positions [0..j-1]; [prefix t 0] is
-    {!Logp.one}. *)
+    {!Logp.one}. Meaningful only on an array built without restarts. *)
 
 val size_bytes : t -> int
 (** Exact bytes of the three backing arrays in their current

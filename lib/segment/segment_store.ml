@@ -25,19 +25,32 @@
    rotation (two log files alive) and of the seal (manifest renamed,
    log not yet rotated) recover to exactly the acknowledged state.
 
-   Concurrency: three locks plus two atomics.
+   The memtable is a logarithmic stack of immutable heap-built runs
+   over a [pending] list (DESIGN.md §15.1): insert only conses onto
+   [pending], and the first read that finds pending documents folds
+   them into the stack (fold on read, so a bulk load builds once per
+   seal). Exact, because prefix sums are factor-local (DESIGN.md §2.1):
+   a document answers bit-identically in any run or segment.
+
+   Concurrency: four locks plus two atomics.
 
    - [m], the state lock, guards every mutable field and is only ever
      held for short critical sections — IO-free except for the single
      buffered write(2) of a WAL record append (a memtable mutation and
      its log record must be atomic with respect to each other, or a
      delete racing an insert could replay in the wrong order; an fsync
-     is NEVER issued under [m]). Queries take it just long enough to
-     (lazily build and) snapshot the memtable engine plus the segment
-     list; the scatter-gather itself runs lock-free on the snapshot.
-     Tombstone bitmaps are never mutated in place — a delete installs
-     a copy — so a snapshot taken before a delete keeps answering from
-     consistent pre-delete state.
+     is NEVER issued under [m]), and no engine is ever built under it.
+     Queries take it just long enough to snapshot the run stack plus
+     the segment list; the scatter-gather itself runs lock-free on the
+     snapshot. Tombstone bitmaps are never mutated in place — a delete
+     installs a copy — so a snapshot taken before a delete keeps
+     answering from consistent pre-delete state.
+   - [bm], the build lock, owns the run stack: a fold builds its run
+     while holding [bm] but not [m], and everything else that replaces
+     runs (seal, a memtable delete) holds [bm] too, so a fold's
+     snapshot of [pending] and [runs] stays valid until it installs.
+     Inserts never take it: they only prepend to [pending], and a fold
+     removes exactly the tail it snapshotted.
    - [wm], the WAL lock, guards the active log writer (fd swap on
      rotation, the dirty flag) so a policy fsync runs without blocking
      readers behind the disk. Acquired inside [m] on the append path,
@@ -53,8 +66,9 @@
      under the multicore memory model and serve stale cached replies
      after an acked mutation).
 
-   Lock order: [cm] before [m] before [wm]; nothing acquires [cm] (or
-   the directory lock below) while holding [m] or [wm].
+   Lock order: [cm] before [bm] before [m] before [wm]; nothing
+   acquires [cm] (or the directory lock below) while holding [bm], [m]
+   or [wm], nor [bm] while holding [m] or [wm].
 
    Cross-process writers: the documented external-compaction flow
    means a second process may commit to the same directory. Every
@@ -144,6 +158,10 @@ type seg = {
   sg_bytes : int; (* container file size, for the size-tiered policy *)
 }
 
+(* A memtable run: an immutable heap-built listing index over some
+   unsealed documents and their corpus ids (strictly ascending). *)
+type run = { r_index : L.t; r_ids : int array }
+
 type t = {
   dir : string;
   cfg : config;
@@ -151,6 +169,7 @@ type t = {
   verify : bool;
   wal_sync : wal_sync;
   m : Mutex.t; (* state lock: short sections; see the header comment *)
+  bm : Mutex.t; (* build lock: owns the run stack; see above *)
   cm : Mutex.t; (* commit lock: serializes manifest writers; see above *)
   wm : Mutex.t; (* WAL lock: active writer fd + dirty flag *)
   generation : int Atomic.t;
@@ -158,8 +177,8 @@ type t = {
   mutable next_doc_id : int;
   mutable seg_seq : int; (* next segment file number (monotonic) *)
   mutable segs : seg list; (* manifest order *)
-  mutable mem : (int * U.t) list; (* memtable, newest first *)
-  mutable mem_engine : (L.t * int array) option; (* lazily rebuilt *)
+  mutable pending : (int * U.t) list; (* unsealed, in no run; newest first *)
+  mutable runs : run list; (* memtable runs, newest (smallest) first *)
   mutable compacting : bool;
   mutable wal : S.Wal.writer option; (* None iff read-only; under [wm] *)
   mutable wal_seq : int; (* active log file number; under [m] *)
@@ -221,6 +240,13 @@ let locked t f =
 let committing t f =
   Mutex.lock t.cm;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.cm) f
+
+let building t f =
+  Mutex.lock t.bm;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.bm) f
+
+(* caller holds [t.m] *)
+let mem_empty t = t.pending = [] && t.runs = []
 
 (* Exclusive cross-process lock held for the duration of one manifest
    commit. Closing the fd releases the lock even if the process dies
@@ -496,6 +522,7 @@ let of_manifest ~dir ~read_only ~verify ~wal_sync (m : manifest) =
     verify;
     wal_sync;
     m = Mutex.create ();
+    bm = Mutex.create ();
     cm = Mutex.create ();
     wm = Mutex.create ();
     generation = Atomic.make m.mf_gen;
@@ -503,8 +530,8 @@ let of_manifest ~dir ~read_only ~verify ~wal_sync (m : manifest) =
     next_doc_id = m.mf_next_doc_id;
     seg_seq = m.mf_seg_seq;
     segs = List.map (open_segment ~dir ~verify) m.mf_segs;
-    mem = [];
-    mem_engine = None;
+    pending = [];
+    runs = [];
     compacting = false;
     wal = None;
     wal_seq = 0;
@@ -558,7 +585,8 @@ let create ?config ?(wal_sync = default_wal_sync) dir_ =
    manifest commit but before its WAL rotation finished), so replay is
    idempotent: an insert whose id is already sealed — or already
    replayed — is skipped. File order is oldest-first; prepending keeps
-   [t.mem] in its newest-first invariant. *)
+   [t.pending] in its newest-first invariant (there are no runs yet:
+   the first read folds the replayed documents). *)
 let replay_record t payload =
   match wal_decode payload with
   | W_seal _ -> ()
@@ -566,11 +594,12 @@ let replay_record t payload =
       let sealed =
         List.exists (fun s -> slot_of_id s.sg_ids s.sg_n id <> None) t.segs
       in
-      if (not sealed) && not (List.mem_assoc id t.mem) then
-        t.mem <- (id, u) :: t.mem;
+      if (not sealed) && not (List.mem_assoc id t.pending) then
+        t.pending <- (id, u) :: t.pending;
       t.next_doc_id <- Stdlib.max t.next_doc_id (id + 1)
   | W_delete id ->
-      if List.mem_assoc id t.mem then t.mem <- List.remove_assoc id t.mem
+      if List.mem_assoc id t.pending then
+        t.pending <- List.remove_assoc id t.pending
 
 (* Replay every wal-NNNNNN.log (ascending) on top of the manifest
    generation. Torn tails are truncated on disk (writable stores) or
@@ -606,17 +635,17 @@ let recover_wal t =
           let w = S.Wal.open_writer (wal_path t.dir seq) in
           List.iter
             (fun (id, u) -> S.Wal.append w (wal_encode (W_insert (id, u))))
-            (List.rev t.mem);
+            (List.rev t.pending);
           S.Wal.sync w;
           t.wal <- Some w;
           t.wal_seq <- seq;
-          t.wal_records <- List.length t.mem;
+          t.wal_records <- List.length t.pending;
           t.wal_bytes <-
             List.fold_left
               (fun a (id, u) ->
                 a + S.Wal.header_bytes
                 + String.length (wal_encode (W_insert (id, u))))
-              0 t.mem;
+              0 t.pending;
           List.iter (fun (s, _) -> S.Wal.remove (wal_path t.dir s)) files)
     else begin
       let seq = Stdlib.max max_seq 0 in
@@ -638,7 +667,7 @@ let open_dir ?(read_only = false) ?(verify = true)
       (read_manifest ~verify dir_)
   in
   recover_wal t;
-  if t.mem <> [] then Atomic.incr t.vversion;
+  if t.pending <> [] then Atomic.incr t.vversion;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -684,13 +713,13 @@ let commit t ?(install = fun () -> ()) ?quarantined ~segs () =
    file, which must then survive). *)
 let rotate_wal t =
   if (not t.read_only) && t.wal <> None then begin
-    let want = locked t (fun () -> t.mem = [] && t.wal_records > 0) in
+    let want = locked t (fun () -> mem_empty t && t.wal_records > 0) in
     if want then begin
       let new_seq = t.wal_seq + 1 in
       let nw = S.Wal.open_writer (wal_path t.dir new_seq) in
       let retired =
         locked t (fun () ->
-            if t.mem <> [] then None
+            if not (mem_empty t) then None
             else begin
               Mutex.lock t.wm;
               Fun.protect
@@ -727,19 +756,57 @@ let build_listing t docs =
   L.build ~relevance:t.cfg.relevance ~backend:t.cfg.backend
     ~tau_min:t.cfg.tau_min docs
 
-(* caller holds [t.m] *)
-let mem_snapshot t =
-  match (t.mem, t.mem_engine) with
-  | [], _ -> None
-  | _, Some e -> Some e
-  | docs_rev, None ->
-      let docs = List.rev docs_rev in
-      let e =
-        ( build_listing t (List.map snd docs),
-          Array.of_list (List.map fst docs) )
-      in
-      t.mem_engine <- Some e;
-      Some e
+let by_id (a, _) (b, _) = Int.compare a b
+
+(* [docs] ascending by id *)
+let build_run t docs =
+  {
+    r_index = build_listing t (List.map snd docs);
+    r_ids = Array.of_list (List.map fst docs);
+  }
+
+let run_size r = Array.length r.r_ids
+let run_docs r =
+  List.mapi (fun k id -> (id, L.doc r.r_index k)) (Array.to_list r.r_ids)
+
+(* The remaining helpers read the memtable: caller holds [t.m]. *)
+
+let mem_count t =
+  List.fold_left (fun a r -> a + run_size r) (List.length t.pending) t.runs
+
+(* [n] documents left [pending] since a snapshot that holders of [t.bm]
+   took: only inserts touched it since, by prepending *)
+let drop_pending_tail t n =
+  let keep = List.length t.pending - n in
+  t.pending <- List.filteri (fun i _ -> i < keep) t.pending
+
+(* Fold the pending documents into the run stack (caller holds [t.bm],
+   not [t.m]): one build over them and the newest runs down to the
+   deepest one no larger than everything newer than it. Every run left
+   is then larger than all newer runs together, so sizes at least
+   double down the stack, and a rebuilt document's run at least
+   doubles: ≤ ⌊log₂ n⌋ + 1 runs, ≤ log₂ n + 1 builds per document.
+   Returns the snapshot the fold installed — the read path's view. *)
+let fold_pending t =
+  let pending, runs, segs = locked t (fun () -> (t.pending, t.runs, t.segs)) in
+  if pending = [] then (runs, segs)
+  else begin
+    let rec depth i newer k = function
+      | [] -> k
+      | r :: older ->
+          let k = if run_size r <= newer then i + 1 else k in
+          depth (i + 1) (newer + run_size r) k older
+    in
+    let k = depth 0 (List.length pending) 0 runs in
+    let absorbed = List.filteri (fun i _ -> i < k) runs in
+    let older = List.filteri (fun i _ -> i >= k) runs in
+    let docs = pending @ List.concat_map run_docs absorbed in
+    let runs = build_run t (List.sort by_id docs) :: older in
+    locked t (fun () ->
+        drop_pending_tail t (List.length pending);
+        t.runs <- runs);
+    (runs, segs)
+  end
 
 (* rough heap footprint of the unsealed documents, for the metrics
    gauge: choices dominate (a sym + boxed float per choice) *)
@@ -753,70 +820,69 @@ let mem_bytes_estimate docs =
 
 let seal t =
   check_writable t "seal";
-  committing t (fun () ->
-      (* snapshot the memtable under the state lock; inserts landing
-         after this point stay in the memtable untouched. A cached
-         engine always corresponds to the current memtable (every
-         insert/delete invalidates it under the same lock). *)
-      let docs_rev, cached = locked t (fun () -> (t.mem, t.mem_engine)) in
-      match List.rev docs_rev with
-      | [] -> false
-      | docs ->
-          ignore (F.hit "segment.seal" : int option);
-          (* marker record: closes this memtable's run in the log, so a
-             post-crash forensic read of a retired-late WAL shows where
-             the durable boundary was *)
-          locked t (fun () ->
-              wal_append_locked t (W_seal (Atomic.get t.generation + 1)));
-          wal_flush t;
-          let ids = Array.of_list (List.map fst docs) in
-          let l =
-            match cached with
-            | Some (e, _) -> e
-            | None -> build_listing t (List.map snd docs)
-          in
-          let reserved =
-            locked t (fun () ->
-                let s = t.seg_seq in
-                t.seg_seq <- s + 1;
-                s)
-          in
-          let name = seg_file_name reserved in
-          (match
-             L.save l (seg_path t name) ~extra:(fun w ->
-                 S.Writer.add_ints w "segment.docids" ids);
-             let seg =
-               open_segment ~dir:t.dir ~verify:t.verify
-                 ( name,
-                   Array.length ids,
-                   Bytes.make (bitmap_len (Array.length ids)) '\000' )
-             in
-             let sealed = Hashtbl.create (Array.length ids) in
-             Array.iter (fun id -> Hashtbl.replace sealed id ()) ids;
-             let segs = locked t (fun () -> t.segs) @ [ seg ] in
-             commit t ~segs
-               ~install:(fun () ->
-                 t.mem <-
-                   List.filter (fun (id, _) -> not (Hashtbl.mem sealed id)) t.mem;
-                 t.mem_engine <- None)
-               ()
-           with
-          | () -> ()
-          | exception e ->
-              (* the manifest still names the old set. Release the
-                 reserved sequence number ONLY if no later reservation
-                 happened meanwhile: sequence numbers must never be
-                 handed out twice, or a retried seal could rename its
-                 file over a pending compaction output *)
-              locked t (fun () ->
-                  if t.seg_seq = reserved + 1 then t.seg_seq <- reserved);
-              raise e);
-          (* the commit emptied the memtable (unless a concurrent
-             insert slipped in): every WAL record is now
-             manifest-covered, so retire the log — this bounds replay
-             to one memtable *)
-          rotate_wal t;
-          true)
+  committing t @@ fun () ->
+  (* [t.bm] keeps the run stack fixed until the install below; inserts
+     landing after this snapshot stay pending, untouched *)
+  building t @@ fun () ->
+  let pending, runs = locked t (fun () -> (t.pending, t.runs)) in
+  if pending = [] && runs = [] then false
+  else begin
+    ignore (F.hit "segment.seal" : int option);
+    (* marker record: closes this memtable's run in the log, so a
+       post-crash forensic read of a retired-late WAL shows where the
+       durable boundary was *)
+    locked t (fun () ->
+        wal_append_locked t (W_seal (Atomic.get t.generation + 1)));
+    wal_flush t;
+    (* a lone run with nothing pending already is the segment's index:
+       runs are built exactly as a fresh [L.build] over their documents *)
+    let r =
+      match (pending, runs) with
+      | [], [ r ] -> r
+      | _ ->
+          let docs = pending @ List.concat_map run_docs runs in
+          build_run t (List.sort by_id docs)
+    in
+    let ids = r.r_ids in
+    let reserved =
+      locked t (fun () ->
+          let s = t.seg_seq in
+          t.seg_seq <- s + 1;
+          s)
+    in
+    let name = seg_file_name reserved in
+    (match
+       L.save r.r_index (seg_path t name) ~extra:(fun w ->
+           S.Writer.add_ints w "segment.docids" ids);
+       let seg =
+         open_segment ~dir:t.dir ~verify:t.verify
+           ( name,
+             Array.length ids,
+             Bytes.make (bitmap_len (Array.length ids)) '\000' )
+       in
+       let segs = locked t (fun () -> t.segs) @ [ seg ] in
+       commit t ~segs
+         ~install:(fun () ->
+           drop_pending_tail t (List.length pending);
+           t.runs <- [])
+         ()
+     with
+    | () -> ()
+    | exception e ->
+        (* the manifest still names the old set. Release the reserved
+           sequence number ONLY if no later reservation happened
+           meanwhile: sequence numbers must never be handed out twice,
+           or a retried seal could rename its file over a pending
+           compaction output *)
+        locked t (fun () ->
+            if t.seg_seq = reserved + 1 then t.seg_seq <- reserved);
+        raise e);
+    (* the commit emptied the memtable (unless a concurrent insert
+       slipped in): every WAL record is now manifest-covered, so retire
+       the log — this bounds replay to one memtable *)
+    rotate_wal t;
+    true
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Insert / delete *)
@@ -831,32 +897,46 @@ let insert t u =
            injected fault) no state changed and the id was not burned *)
         wal_append_locked t (W_insert (id, u));
         t.next_doc_id <- id + 1;
-        t.mem <- (id, u) :: t.mem;
-        t.mem_engine <- None;
+        t.pending <- (id, u) :: t.pending;
         Atomic.incr t.vversion;
         ( id,
           t.cfg.memtable_max_docs > 0
-          && List.length t.mem >= t.cfg.memtable_max_docs ))
+          && mem_count t >= t.cfg.memtable_max_docs ))
   in
   wal_flush t;
   if want_seal then ignore (seal t : bool);
   id
 
+(* Caller holds [t.cm] and [t.bm]: drop [id] from [pending], or
+   dissolve the run holding it, returning its other documents there. *)
+let delete_unsealed t id =
+  locked t (fun () ->
+      let run = List.find_opt (fun r -> Array.mem id r.r_ids) t.runs in
+      if Option.is_none run && not (List.mem_assoc id t.pending) then false
+      else begin
+        wal_append_locked t (W_delete id);
+        (match run with
+        | None -> t.pending <- List.remove_assoc id t.pending
+        | Some r ->
+            t.runs <- List.filter (( != ) r) t.runs;
+            t.pending <-
+              t.pending @ List.filter (fun (d, _) -> d <> id) (run_docs r));
+        Atomic.incr t.vversion;
+        true
+      end)
+
 let delete t id =
   check_writable t "delete";
   committing t (fun () ->
-      let removed_from_mem =
+      (* only a seal (which needs [t.cm]) moves a document out of the
+         memtable, so the answer cannot go stale before [t.bm] is ours;
+         deletes of sealed documents never wait for a fold *)
+      if
         locked t (fun () ->
-            if List.mem_assoc id t.mem then begin
-              wal_append_locked t (W_delete id);
-              t.mem <- List.remove_assoc id t.mem;
-              t.mem_engine <- None;
-              Atomic.incr t.vversion;
-              true
-            end
-            else false)
-      in
-      if removed_from_mem then begin
+            List.mem_assoc id t.pending
+            || List.exists (fun r -> Array.mem id r.r_ids) t.runs)
+        && building t (fun () -> delete_unsealed t id)
+      then begin
         wal_flush t;
         true
       end
@@ -911,10 +991,12 @@ let seg_hits s ~pattern ~tau =
   Array.sort cmp_hit a;
   a
 
-let mem_hits (l, ids) ~pattern ~tau =
+let run_hits r ~pattern ~tau =
   let a =
     Array.of_list
-      (List.map (fun (slot, p) -> (ids.(slot), p)) (L.query l ~pattern ~tau))
+      (List.map
+         (fun (slot, p) -> (r.r_ids.(slot), p))
+         (L.query r.r_index ~pattern ~tau))
   in
   Array.sort cmp_hit a;
   a
@@ -977,17 +1059,20 @@ let merge_sources ?(limit = max_int) (sources : (int * Logp.t) array array) =
   done;
   List.rev !out
 
-(* a consistent read snapshot: the (possibly just built) memtable
-   engine plus the current segment records *)
-let snapshot t = locked t (fun () -> (mem_snapshot t, t.segs))
+(* a consistent read snapshot: the memtable runs plus the current
+   segment records, folding pending documents first (outside [t.m]) *)
+let snapshot t =
+  match
+    locked t (fun () -> if t.pending = [] then Some (t.runs, t.segs) else None)
+  with
+  | Some snap -> snap
+  | None -> building t (fun () -> fold_pending t)
 
 let gather ?limit t ~pattern ~tau =
-  let mem, segs = snapshot t in
+  let runs, segs = snapshot t in
   let sources =
-    let seg_sources = List.map (fun s -> seg_hits s ~pattern ~tau) segs in
-    match mem with
-    | None -> seg_sources
-    | Some e -> mem_hits e ~pattern ~tau :: seg_sources
+    List.map (fun r -> run_hits r ~pattern ~tau) runs
+    @ List.map (fun s -> seg_hits s ~pattern ~tau) segs
   in
   merge_sources ?limit (Array.of_list sources)
 
@@ -1228,6 +1313,7 @@ type stats = {
   st_generation : int;
   st_segments : int;
   st_memtable_docs : int;
+  st_memtable_runs : int;
   st_memtable_bytes : int;
   st_live_docs : int;
   st_tombstones : int;
@@ -1244,8 +1330,10 @@ let stats t =
       {
         st_generation = Atomic.get t.generation;
         st_segments = List.length t.segs;
-        st_memtable_docs = List.length t.mem;
-        st_memtable_bytes = mem_bytes_estimate t.mem;
+        st_memtable_docs = mem_count t;
+        st_memtable_runs = List.length t.runs;
+        st_memtable_bytes =
+          mem_bytes_estimate (t.pending @ List.concat_map run_docs t.runs);
         st_live_docs = live;
         st_tombstones = dead;
         st_segment_bytes = List.fold_left (fun a s -> a + s.sg_bytes) 0 t.segs;

@@ -3,8 +3,15 @@
     A {!t} turns the one-shot listing engine into a mutable corpus
     living in a directory:
 
-    - new documents accumulate in a small heap-built {e memtable}
-      engine (rebuilt lazily; insertion itself is O(1));
+    - new documents accumulate in a {e memtable}: insertion appends
+      to a pending list in O(1), and the first read after it folds the
+      pending documents into a stack of immutable heap-built runs
+      (Bentley–Saxe logarithmic method: one build over the pending
+      documents and the newest runs no larger than what is newer; at
+      most ⌊log₂ n⌋ + 1 runs for n unsealed documents, each built at
+      most log₂ n + 1 times absent deletes). A write never builds;
+      memtable deletes drop a pending document or dissolve the run
+      holding it;
     - {!seal} flushes the memtable through the streaming PTI-ENGINE-4
       writer into an immutable {e segment} container (packed or
       succinct, per the store's backend) carrying a slot → document-id
@@ -21,21 +28,27 @@
       documents.
 
     The read path is {e scatter-gather}: a query fans across the
-    memtable and every live mmap segment, drops tombstoned documents,
-    and merges the per-source answers (each already sorted by
-    probability) with a bounded heap — descending probability,
-    document id breaking ties. For a fixed manifest generation and
-    memtable state the merged answer is a pure function of the
-    directory contents, so byte-for-byte reply verification
-    ([loadgen --verify] against the corpus directory) holds across
-    processes.
+    memtable runs and every live mmap segment, drops tombstoned
+    documents, and merges the per-source answers (each already sorted
+    by probability) with a bounded heap — descending probability,
+    document id breaking ties. Because the transform's prefix sums are
+    factor-local (DESIGN.md §2.1, §15.3), a document's relevance is
+    bit-for-bit the same in whichever run or segment holds it, so the
+    merged answer is a pure function of the live document set: equal,
+    bit for bit, to a monolithic {!Pti_core.Listing_index} over the
+    same documents, however they are cut into runs and segments. That
+    is what lets byte-for-byte reply verification ([loadgen --verify]
+    against the corpus directory) hold across processes whose
+    memtables were folded differently.
 
     Concurrency: mutations serialize on internal locks; queries run
     lock-free on immutable snapshots (tombstone bitmaps are replaced
     copy-on-write, never mutated in place), so readers never block
     writers and vice versa — manifest fsyncs in particular happen
     outside the lock that guards reader snapshots, so a delete storm
-    cannot stall the query path. {!generation} and {!version} are
+    cannot stall the query path. Run builds hold only a dedicated
+    build lock: a read that finds pending documents may wait for
+    another fold or a seal, never for an insert. {!generation} and {!version} are
     readable from any domain without synchronization caveats (they
     are atomics internally).
 
@@ -207,6 +220,10 @@ type stats = {
   st_generation : int;
   st_segments : int;
   st_memtable_docs : int;
+  st_memtable_runs : int;
+      (** Heap-built runs the memtable is folded into (at most
+          ⌊log₂ st_memtable_docs⌋ + 1; documents inserted since the
+          last read are in none yet). *)
   st_memtable_bytes : int;  (** Estimated heap bytes of unsealed docs. *)
   st_live_docs : int;  (** Sealed documents not tombstoned. *)
   st_tombstones : int;  (** Sealed documents awaiting compaction. *)

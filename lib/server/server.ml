@@ -246,13 +246,13 @@ let corpora_json t =
                (Printf.sprintf
                   "{\"dir\":\"%s\",\"generation\":%d,\"segments\":%d,\
                    \"segment_bytes\":%d,\"memtable_docs\":%d,\
-                   \"memtable_bytes\":%d,\"live_docs\":%d,\"tombstones\":%d,\
+                   \"memtable_runs\":%d,\"memtable_bytes\":%d,\"live_docs\":%d,\"tombstones\":%d,\
                    \"tombstone_ratio\":%.4f,\"degraded_segments\":%d,\
                    \"wal_records\":%d,\"wal_bytes\":%d,\"wal_sync\":\"%s\"}"
                   (json_escape (Store.dir store))
                   st.Store.st_generation st.Store.st_segments
                   st.Store.st_segment_bytes st.Store.st_memtable_docs
-                  st.Store.st_memtable_bytes st.Store.st_live_docs
+                  st.Store.st_memtable_runs st.Store.st_memtable_bytes st.Store.st_live_docs
                   st.Store.st_tombstones
                   (Store.tombstone_ratio st)
                   st.Store.st_degraded_segments st.Store.st_wal_records

@@ -177,7 +177,14 @@ let build ?max_text_len ~tau_min u =
   let text = Ivec.to_array text in
   let pos = Ivec.to_array posv in
   let logs = Fvec.to_array logs in
-  let parray = Parray.of_logps (Array.map Logp.of_log logs) in
+  (* factor-local sums: every window lies inside one factor, so its
+     bits depend on that factor alone — not on which factors (or
+     documents) precede it in the text *)
+  let parray =
+    Parray.of_logps
+      ~restart_after:(fun i -> text.(i) = Sym.separator)
+      (Array.map Logp.of_log logs)
+  in
   {
     source = Lazy.from_val u;
     tau_min;

@@ -73,7 +73,11 @@ val original_pos : t -> int -> int
 val parray : t -> Pti_prob.Parray.t
 (** Marginal log probabilities per text position (separator positions
     count as probability 1, and windows matching a pattern can never
-    span a separator since patterns cannot contain it). *)
+    span a separator since patterns cannot contain it). {!build}
+    restarts the sums after every separator, so a window's bits depend
+    on its own factor alone, whatever precedes it (DESIGN.md §2.1).
+    Older containers carry global sums in the same [tr.cum] section;
+    they load unchanged and agree to float rounding. *)
 
 val window_logp : t -> pos:int -> len:int -> Pti_prob.Logp.t
 (** Marginal window product in the text. O(1). *)

@@ -142,6 +142,90 @@ let prop_no_underflow =
       (not (Logp.is_zero w))
       && Float.abs (Logp.to_log w -. (float_of_int n *. log 0.5)) < 1e-6)
 
+(* Factor-local sums: blocks of random log probabilities (some zero)
+   joined by probability-1 separators, restarted after each separator. *)
+let restart_blocks seed =
+  let rng = H.rng_of_seed seed in
+  List.init 12 (fun _ ->
+      Array.init
+        (1 + Random.State.int rng 30)
+        (fun _ ->
+          if Random.State.int rng 25 = 0 then Logp.zero
+          else Logp.of_prob (0.05 +. Random.State.float rng 0.95)))
+
+let restarted blocks =
+  let logs = Array.concat (List.concat_map (fun b -> [ b; [| Logp.one |] ]) blocks) in
+  let seps = Array.make (Array.length logs) false in
+  ignore
+    (List.fold_left
+       (fun off b ->
+         let s = off + Array.length b in
+         seps.(s) <- true;
+         s + 1)
+       0 blocks
+      : int);
+  (logs, seps, Parray.of_logps ~restart_after:(fun i -> seps.(i)) logs)
+
+let log_bits l = Int64.bits_of_float (Logp.to_log l)
+
+let test_parray_restart_local () =
+  let blocks = restart_blocks 17 in
+  let _, _, pa = restarted blocks in
+  ignore
+    (List.fold_left
+       (fun off b ->
+         let alone = Parray.of_logps b in
+         let n = Array.length b in
+         for pos = 0 to n - 1 do
+           for len = 1 to n - pos do
+             if
+               log_bits (Parray.window pa ~pos:(off + pos) ~len)
+               <> log_bits (Parray.window alone ~pos ~len)
+             then
+               Alcotest.failf "window (%d,%d) of a block at %d differs in bits"
+                 pos len off
+           done
+         done;
+         off + n + 1)
+       0 blocks
+      : int)
+
+let test_parray_restart_vs_global () =
+  let blocks = restart_blocks 23 in
+  let logs, seps, pa = restarted blocks in
+  let global = Parray.of_logps logs in
+  let n = Array.length logs in
+  for pos = 0 to n - 1 do
+    (* every window inside one block *)
+    let len = ref 1 in
+    while pos + !len <= n && not seps.(pos + !len - 1) do
+      check_float
+        (Printf.sprintf "window (%d,%d)" pos !len)
+        (Logp.to_prob (Parray.window global ~pos ~len:!len))
+        (Logp.to_prob (Parray.window pa ~pos ~len:!len));
+      incr len
+    done
+  done
+
+let test_parray_restart_get () =
+  let blocks = restart_blocks 29 in
+  let logs, seps, pa = restarted blocks in
+  let cum, zeros, _ = Parray.raw pa in
+  let lean = Parray.of_storage ~cum ~zeros ~logs:None in
+  Array.iteri
+    (fun i l ->
+      if seps.(i) then
+        Alcotest.(check bool)
+          (Printf.sprintf "restart %d has probability 1" i)
+          true
+          (Logp.to_log (Parray.get lean i) = 0.0)
+      else
+        check_float
+          (Printf.sprintf "get %d" i)
+          (Logp.to_prob l)
+          (Logp.to_prob (Parray.get lean i)))
+    logs
+
 let () =
   Alcotest.run "pti_prob"
     [
@@ -163,7 +247,12 @@ let () =
           Alcotest.test_case "bounds checking" `Quick test_parray_bounds;
           QCheck_alcotest.to_alcotest prop_window_matches_naive;
           QCheck_alcotest.to_alcotest prop_no_underflow;
+          Alcotest.test_case "restart windows are block-local" `Quick
+            test_parray_restart_local;
+          Alcotest.test_case "restart agrees with global sums" `Quick
+            test_parray_restart_vs_global;
+          Alcotest.test_case "get at a restart without logs" `Quick
+            test_parray_restart_get;
         ] );
     ]
 
-let _ = H.rng_of_seed

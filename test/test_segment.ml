@@ -59,15 +59,21 @@ let patterns_of_seed ?(count = 12) seed docs =
       in
       (pat, 0.1 +. Random.State.float rng 0.6))
 
-let hits_testable =
-  Alcotest.(list (pair int (float 1e-9)))
+(* IEEE-bit equality: a document's relevance is the same to the last
+   bit in whichever run or segment holds it (factor-local prefix sums) *)
+let bits =
+  Alcotest.testable
+    (fun ppf f -> Format.fprintf ppf "%h" f)
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+let hits_testable = Alcotest.(list (pair int bits))
 
 let floats hits = List.map (fun (d, p) -> (d, Logp.to_log p)) hits
 
 (* Reference answer from a monolithic index: canonical order is
    descending relevance, ascending doc id among equals. *)
-let reference docs ~pattern ~tau =
-  let l = L.build ~tau_min docs in
+let reference ?relevance docs ~pattern ~tau =
+  let l = L.build ?relevance ~tau_min docs in
   L.query l ~pattern ~tau
   |> List.sort (fun (d1, p1) (d2, p2) ->
          let c = Logp.compare p2 p1 in
@@ -75,8 +81,8 @@ let reference docs ~pattern ~tau =
 
 (* Build a store over [docs] cut into [cuts] roughly-equal segments
    (0 cuts: everything stays in the memtable). *)
-let store_with_cuts dir docs ~cuts =
-  let t = Store.create ~config:manual_config dir in
+let store_with_cuts ?(config = manual_config) dir docs ~cuts =
+  let t = Store.create ~config dir in
   let n = List.length docs in
   let per = if cuts = 0 then n + 1 else (n + cuts - 1) / cuts in
   List.iteri
@@ -93,9 +99,10 @@ let test_equivalence_cuts () =
   let docs = docs_of_seed 11 in
   let pats = patterns_of_seed 11 docs in
   List.iter
-    (fun cuts ->
+    (fun (relevance, cuts) ->
       with_tmpdir (fun dir ->
-          let t = store_with_cuts dir docs ~cuts in
+          let config = { manual_config with Store.relevance } in
+          let t = store_with_cuts ~config dir docs ~cuts in
           let st = Store.stats t in
           if cuts > 1 then
             Alcotest.(check bool)
@@ -106,7 +113,7 @@ let test_equivalence_cuts () =
             (fun i (pattern, tau) ->
               Alcotest.check hits_testable
                 (Printf.sprintf "cuts=%d pattern %d" cuts i)
-                (floats (reference docs ~pattern ~tau))
+                (floats (reference ~relevance docs ~pattern ~tau))
                 (floats (Store.query t ~pattern ~tau));
               let full = Store.query t ~pattern ~tau in
               let k = 1 + (i mod 5) in
@@ -116,7 +123,9 @@ let test_equivalence_cuts () =
                    (List.filteri (fun j _ -> j < k) full))
                 (floats (Store.query_top_k t ~pattern ~tau ~k)))
             pats))
-    [ 0; 1; 2; 4; 8 ]
+    (List.concat_map
+       (fun rel -> List.map (fun cuts -> (rel, cuts)) [ 0; 1; 2; 3; 4; 7; 8 ])
+       [ L.Rel_max; L.Rel_or ])
 
 let test_memtable_and_segments_mix () =
   let docs = docs_of_seed 23 ~n:30 in
@@ -160,6 +169,99 @@ let test_insert_ids_and_auto_seal () =
       ignore (Store.seal t : bool);
       let extra = Store.insert t (List.hd docs) in
       Alcotest.(check int) "id after reopen of memtable" 12 extra)
+
+(* The memtable's run stack under interleaved bulk inserts, reads and
+   memtable deletes: inserts never build, every read answers bit for bit
+   like a monolithic index over the live documents, and the stack stays
+   logarithmic. *)
+let test_memtable_runs () =
+  let pool = Array.of_list (docs_of_seed 71 ~n:70) in
+  let pats = patterns_of_seed 71 (Array.to_list pool) ~count:6 in
+  let rec floor_log2 n = if n <= 1 then 0 else 1 + floor_log2 (n / 2) in
+  with_tmpdir (fun dir ->
+      let t = Store.create ~config:manual_config dir in
+      let rng = H.rng_of_seed 4242 in
+      let live = ref [] and inserted = ref 0 and step = ref 0 in
+      let runs () = (Store.stats t).Store.st_memtable_runs in
+      let check_stack what =
+        let n = List.length !live in
+        let st = Store.stats t in
+        Alcotest.(check int) (what ^ ": memtable docs") n st.Store.st_memtable_docs;
+        if st.Store.st_memtable_runs > (if n = 0 then 0 else floor_log2 n + 1)
+        then
+          Alcotest.failf "step %d %s: %d runs for %d live documents" !step what
+            st.Store.st_memtable_runs n
+      in
+      let check_answers () =
+        let live = List.sort compare !live in
+        let ids = Array.of_list live in
+        let mono =
+          if live = [] then None
+          else Some (L.build ~tau_min (List.map (fun id -> pool.(id)) live))
+        in
+        List.iteri
+          (fun i (pattern, tau) ->
+            let want =
+              match mono with
+              | None -> []
+              | Some l ->
+                L.query l ~pattern ~tau
+                |> List.map (fun (d, p) -> (ids.(d), p))
+                |> List.sort (fun (d1, p1) (d2, p2) ->
+                       let c = Logp.compare p2 p1 in
+                       if c <> 0 then c else Int.compare d1 d2)
+            in
+            Alcotest.check hits_testable
+              (Printf.sprintf "step %d pattern %d" !step i)
+              (floats want)
+              (floats (Store.query t ~pattern ~tau)))
+          pats
+      in
+      while !inserted < Array.length pool do
+        incr step;
+        (match Random.State.int rng 4 with
+        | 0 | 1 ->
+            let before = runs () in
+            let k = Stdlib.min (1 + Random.State.int rng 6) (Array.length pool - !inserted) in
+            for _ = 1 to k do
+              let id = Store.insert t pool.(!inserted) in
+              Alcotest.(check int) "id" !inserted id;
+              live := id :: !live;
+              incr inserted
+            done;
+            Alcotest.(check int) "bulk insert builds no run" before (runs ())
+        | 2 when !live <> [] ->
+            let id = List.nth !live (Random.State.int rng (List.length !live)) in
+            Alcotest.(check bool) "memtable delete" true (Store.delete t id);
+            live := List.filter (( <> ) id) !live
+        | _ -> ());
+        check_stack "before read";
+        check_answers ();
+        check_stack "after read"
+      done;
+      Alcotest.(check int) "nothing sealed" 0 (Store.stats t).Store.st_segments)
+
+(* A seal right after a read reuses the folded run, and that run is
+   exactly a fresh build: the segment file equals [L.save] of [L.build]
+   over the same documents, byte for byte. *)
+let test_seal_reuses_run () =
+  let docs = docs_of_seed 83 ~n:64 in
+  with_tmpdir (fun dir ->
+      let cdir = Filename.concat dir "corpus" in
+      let t = Store.create ~config:manual_config cdir in
+      List.iter (fun d -> ignore (Store.insert t d : int)) docs;
+      Alcotest.(check int) "no run before a read" 0
+        (Store.stats t).Store.st_memtable_runs;
+      let pattern, tau = List.hd (patterns_of_seed 83 docs) in
+      ignore (Store.query t ~pattern ~tau : (int * Logp.t) list);
+      Alcotest.(check int) "one run after the read" 1
+        (Store.stats t).Store.st_memtable_runs;
+      Alcotest.(check bool) "sealed" true (Store.seal t);
+      let want = Filename.concat dir "fresh.pti" in
+      L.save (L.build ~tau_min docs) want ~extra:(fun w ->
+          Pti_storage.Writer.add_ints w "segment.docids" (Array.init 64 Fun.id));
+      Alcotest.(check bool) "segment = L.save (L.build docs)" true
+        (read_file (Filename.concat cdir "seg-000000.pti") = read_file want))
 
 let test_deletes_and_tombstones () =
   let docs = docs_of_seed 47 ~n:24 in
@@ -738,6 +840,10 @@ let () =
             test_insert_ids_and_auto_seal;
           Alcotest.test_case "deletes and tombstones" `Quick
             test_deletes_and_tombstones;
+          Alcotest.test_case "memtable runs fold on read" `Quick
+            test_memtable_runs;
+          Alcotest.test_case "seal reuses a folded run" `Quick
+            test_seal_reuses_run;
         ] );
       ( "compaction",
         [

@@ -1481,7 +1481,9 @@ let test_corpus_over_wire () =
                   Alcotest.(check bool) "corpora gauges present" true
                     (contains js "\"corpora\"");
                   Alcotest.(check bool) "segment gauge present" true
-                    (contains js "\"segments\"")
+                    (contains js "\"segments\"");
+                  Alcotest.(check bool) "memtable run gauge present" true
+                    (contains js "\"memtable_runs\"")
               | _ -> Alcotest.fail "no stats reply")))
 
 let test_corpus_mutation_invalidates_cache () =
