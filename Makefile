@@ -1,4 +1,4 @@
-.PHONY: check check-par loc bench bench-par bench-io bench-space bench-frontier bench-serve bench-multicore bench-hotpath bench-lsm serve-smoke chaos-smoke fault-matrix perfbench-selftest clean
+.PHONY: check check-par loc bench bench-par bench-io bench-space bench-frontier bench-serve bench-multicore bench-hotpath bench-lsm serve-smoke chaos-smoke fault-matrix perfbench-selftest golden clean
 
 check:
 	dune build @all
@@ -92,6 +92,12 @@ fault-matrix:
 # checkout without the program refused. About a minute.
 perfbench-selftest:
 	python3 perfbench/selftest.py
+
+# Golden container digests: five containers built from fixed `pti gen`
+# inputs must match test/golden/containers.sha256 byte for byte.
+golden:
+	dune build bin/pti.exe
+	scripts/golden_build.sh
 
 clean:
 	dune clean
