@@ -42,6 +42,13 @@ let build_oracle kind ~value ~len =
   | Succinct -> Su (Rmq_succinct.build_oracle ~value ~len)
   | Block block -> B (Rmq_block.build_oracle ~block ~value ~len)
 
+let rebind t ~value =
+  match t with
+  | N t -> N (Rmq_naive.rebind t ~value)
+  | Sp t -> Sp (Rmq_sparse.rebind t ~value)
+  | Su t -> Su (Rmq_succinct.rebind t ~value)
+  | B t -> B (Rmq_block.rebind t ~value)
+
 let length = function
   | N t -> Rmq_naive.length t
   | Sp t -> Rmq_sparse.length t

@@ -22,8 +22,21 @@ type t
 val build : kind -> float array -> t
 
 val build_oracle : kind -> value:(int -> float) -> len:int -> t
-(** Builds over the virtual array [value 0 .. value (len-1)]; the oracle
-    is called O(len) times at construction and O(1) times per query. *)
+(** Builds over the virtual array [value 0 .. value (len-1)]. The oracle
+    is probed O(len) times at construction ([Naive]: never; [Sparse]:
+    about [len log len] times) and O(1) times per query, so a costly
+    oracle is better materialised into an array for the build and
+    re-attached with {!rebind}. *)
+
+val rebind : t -> value:(int -> float) -> t
+(** [rebind t ~value] is [t]'s index arrays (shared, not copied) over the
+    oracle [value], which must agree with the one [t] was built over at
+    every index. It answers every query as [build_oracle] over [value]
+    would and {!save_parts} writes the same bytes; it probes [value]
+    only at query time, through the same recursion as {!open_parts}.
+    Lets a builder run the construction over a plain array of values
+    and hand the query path its own oracle with no extra
+    indirection. *)
 
 val length : t -> int
 

@@ -131,6 +131,17 @@ let build ?(block = max_block) a =
   let a = Array.copy a in
   build_oracle ~block ~value:(fun i -> a.(i)) ~len:(Array.length a)
 
+(* Same recursion through [top] as [open_parts]; [block_argmax] reads
+   only the signatures, so the old oracle never runs. *)
+let rec rebind t ~value =
+  let top_value b = value (block_argmax t b) in
+  let top =
+    match t.top with
+    | Sparse s -> Sparse (Rmq_sparse.rebind s ~value:top_value)
+    | Recurse s -> Recurse (rebind s ~value:top_value)
+  in
+  { t with value; top }
+
 let length t = t.len
 let block_size t = t.block
 

@@ -20,6 +20,9 @@ val build : ?block:int -> float array -> t
 val build_oracle : block:int -> value:(int -> float) -> len:int -> t
 (** [value] is called O(len) times at construction and O(1) per query. *)
 
+val rebind : t -> value:(int -> float) -> t
+(** The same index arrays over another oracle; see {!Rmq.rebind}. *)
+
 val length : t -> int
 val block_size : t -> int
 

@@ -8,6 +8,7 @@ let build a =
   { value = (fun i -> a.(i)); len = Array.length a }
 
 let build_oracle ~value ~len = { value; len }
+let rebind t ~value = { t with value }
 
 let length t = t.len
 

@@ -55,6 +55,8 @@ let build_oracle ~value ~len =
   end;
   { flat; offsets; value; len }
 
+let rebind t ~value = { t with value }
+
 let build a =
   let a = Array.copy a in
   build_oracle ~value:(fun i -> a.(i)) ~len:(Array.length a)

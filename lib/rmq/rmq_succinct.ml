@@ -135,6 +135,16 @@ let build a =
   let a = Array.copy a in
   build_oracle ~value:(fun i -> a.(i)) ~len:(Array.length a)
 
+(* Same recursion through [top] as [open_parts]. *)
+let rec rebind t ~value =
+  let top_value b = value (S.Ints.get t.block_argmax b) in
+  let top =
+    match t.top with
+    | Sparse s -> Sparse (Rmq_sparse.rebind s ~value:top_value)
+    | Recurse s -> Recurse (rebind s ~value:top_value)
+  in
+  { t with value; top }
+
 let length t = t.len
 
 let in_block t b l r =

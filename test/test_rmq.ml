@@ -143,6 +143,59 @@ let test_block_strings () =
     (Rmq.kind_of_string "block:32" = None);
   Alcotest.(check bool) "block:x rejected" true (Rmq.kind_of_string "block:x" = None)
 
+(* The bytes [save_parts] writes for [t], through a real container. *)
+let saved_bytes t =
+  let path = Filename.temp_file "pti_rmq" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w = Pti_storage.Writer.create path in
+      Rmq.save_parts w ~prefix:"r" t;
+      Pti_storage.Writer.close w;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* An RMQ built over a scratch array and rebound onto an oracle over an
+   equal copy must answer like [build_oracle] over that oracle and
+   persist the same bytes, without probing the oracle until queried.
+   The scratch array is overwritten after the rebind, as the engine
+   reuses it, so any part still reading the old oracle answers wrongly.
+   70 000 elements recurse past each top-level cutoff: 7 000 blocks of
+   10 for Succinct (cutoff 4096), 2 259 blocks of 31 and 17 500 blocks
+   of 4 for Block (cutoff 2048; Block 4 recurses twice). *)
+let test_rebind () =
+  let rng = Random.State.make [| 8 |] in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun len ->
+          let name = Printf.sprintf "%s len %d" (Rmq.kind_to_string kind) len in
+          let a = Array.init len (fun _ -> float_of_int (Random.State.int rng 50)) in
+          let copy = Array.copy a in
+          let probes = ref 0 in
+          let value i =
+            incr probes;
+            copy.(i)
+          in
+          let built = Rmq.build_oracle kind ~value:(fun i -> a.(i)) ~len in
+          let rebound = Rmq.rebind built ~value in
+          Alcotest.(check int) (name ^ ": rebind probes nothing") 0 !probes;
+          Array.fill a 0 len Float.nan;
+          let fresh = Rmq.build_oracle kind ~value:(fun i -> copy.(i)) ~len in
+          for _ = 1 to 300 do
+            let l = Random.State.int rng len in
+            let r = l + Random.State.int rng (len - l) in
+            let want = Rmq.query fresh ~l ~r in
+            Alcotest.(check int) (name ^ ": query") want (Rmq.query rebound ~l ~r);
+            Alcotest.(check int) (name ^ ": leftmost max") (reference copy l r) want
+          done;
+          if len > 1000 then
+            Alcotest.(check bool) (name ^ ": queries probe the new oracle") true
+              (!probes > 0);
+          Alcotest.(check bool) (name ^ ": same bytes") true
+            (String.equal (saved_bytes fresh) (saved_bytes rebound)))
+        [ 1; 5; 777; 70_000 ])
+    [ Rmq.Naive; Rmq.Sparse; Rmq.Succinct; Rmq.Block 31; Rmq.Block 4 ]
+
 let prop_agree kind =
   QCheck2.Test.make
     ~name:(Printf.sprintf "%s agrees with scan" (Rmq.kind_to_string kind))
@@ -184,5 +237,6 @@ let () =
             test_succinct_large;
           Alcotest.test_case "block large (recursive top)" `Slow
             test_block_large;
+          Alcotest.test_case "rebind onto an equal oracle" `Quick test_rebind;
         ] );
     ]
