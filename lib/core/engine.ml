@@ -193,6 +193,46 @@ let make_level_value ~metric ~dead ~stored ~slot_value level j =
       if S.Bits.get dead.(level - 1) j then neg_infinity else slot_value j level
   | Or_metric -> S.Floats.get stored.(level - 1) j
 
+(* [w.{a}] <- the log probability of the length-[len] window at text
+   position [a], for every [a]: bit for bit [slot_value_raw] of the slot
+   whose suffix starts at [a] (same factor predicate; without
+   correlations, [Parray.window]'s arithmetic on [cum]/[zeros]), but
+   read in text order instead of through the suffix array. *)
+let fill_windows ~tr ~pos ~cum ~zeros len w =
+  let n = Array.length pos in
+  let corr = Transform.has_correlations tr in
+  for a = 0 to n - 1 do
+    w.{a} <-
+      (if a + len > n then neg_infinity
+       else begin
+         let p = pos.(a) in
+         if p < 0 || pos.(a + len - 1) <> p + len - 1 then neg_infinity
+         else if corr then
+           Logp.to_log (Transform.window_logp_corrected tr ~pos:a ~len)
+         else if S.Ints.unsafe_get zeros (a + len) - S.Ints.unsafe_get zeros a > 0
+         then neg_infinity
+         else
+           Float.min 0.0
+             (S.Floats.unsafe_get cum (a + len) -. S.Floats.unsafe_get cum a)
+       end)
+  done
+
+(* Per-domain construction scratch, reused across levels: window values
+   by text position and by slot (outside the OCaml heap, so they do not
+   scale the GC's heap growth and the build's peak RSS), and per-key
+   dedup state indexed by key. [stamp.(key) = group] marks [best.(key)]
+   as belonging to the current lcp-group, so nothing is cleared between
+   groups; an OR key's [occ] table is reset when the key is first seen
+   in a group. *)
+type scratch = {
+  w : S.floats;
+  vs : S.floats;
+  stamp : int array;
+  best : int array;
+  mutable group : int;
+  occ : (int, float) Hashtbl.t array; (* OR: key's positions -> log p *)
+}
+
 let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
     tr =
   let config = backend_config backend config in
@@ -201,85 +241,32 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
   let n = Array.length text in
   let sa = Sais.suffix_array text in
   let lcp = Lcp.kasai ~text ~sa in
-  let max_short = Stdlib.max 1 (ceil_log2 (Stdlib.max 2 n)) in
-  let sa_s = S.Ints.of_array sa in
-  let pos_s = Transform.pos_storage tr in
-  let slot_value j len = slot_value_raw ~tr ~pos:pos_s ~sa:sa_s ~n j len in
-  let n_levels = max_short in
-  let dead = Array.init n_levels (fun _ -> Bytes.make ((n + 7) / 8) '\000') in
-  let stored =
-    match config.metric with
-    | Max -> [||]
-    | Or_metric -> Array.init n_levels (fun _ -> Array.make n neg_infinity)
+  let fm =
+    match config.range_search with
+    | Rs_fm -> Some (Pti_succinct.Fm_index.create ~sa text)
+    | Rs_binary | Rs_tree -> None
   in
-  (* Per-level duplicate elimination: within each depth-i lcp-group,
-     keep one representative slot per key (Algorithm 3's "duplicate
-     elimination in C_i"). Levels are mutually independent — level i
-     reads only shared immutable data (sa, lcp, pos, the transform) and
-     writes only dead.(i-1) / stored.(i-1) — so they are sharded across
-     the domain pool. Scratch arrays are per-domain and reused across
-     groups and levels to keep construction allocation-free on the hot
-     path. *)
-  Par.parallel_for_init ?domains ~chunk:1 ~start:1 ~finish:n_levels
-    ~init:(fun () ->
-      (* (values, keys, key -> representative slot of current group) *)
-      (Array.make n 0.0, Array.make n (-1), Hashtbl.create 256))
-    (fun (scratch_v, scratch_key, best) level ->
-      let j = ref 0 in
-      while !j < n do
-        let g0 = !j in
-        let g1 = ref (g0 + 1) in
-        while !g1 < n && lcp.(!g1) >= level do
-          incr g1
-        done;
-        Hashtbl.reset best;
-        for s = g0 to !g1 - 1 do
-          let v = slot_value s level in
-          scratch_v.(s) <- v;
-          if v = neg_infinity then begin
-            bit_set dead.(level - 1) s;
-            scratch_key.(s) <- -1
-          end
-          else begin
-            let key = key_of_pos pos.(sa.(s)) in
-            scratch_key.(s) <- key;
-            match Hashtbl.find_opt best key with
-            | None -> Hashtbl.replace best key s
-            | Some b -> if v > scratch_v.(b) then Hashtbl.replace best key s
-          end
-        done;
-        (match config.metric with
-        | Max ->
-            for s = g0 to !g1 - 1 do
-              if scratch_key.(s) >= 0 && Hashtbl.find best scratch_key.(s) <> s
-              then bit_set dead.(level - 1) s
-            done
-        | Or_metric ->
-            (* Per key, OR-combine over the key's distinct positions and
-               store the result at the representative slot. *)
-            let occ = Hashtbl.create 16 in
-            for s = g0 to !g1 - 1 do
-              if scratch_key.(s) >= 0 then begin
-                let key = scratch_key.(s) in
-                let h =
-                  match Hashtbl.find_opt occ key with
-                  | Some h -> h
-                  | None ->
-                      let h = Hashtbl.create 4 in
-                      Hashtbl.replace occ key h;
-                      h
-                in
-                or_entry h pos.(sa.(s)) scratch_v.(s)
-              end
-            done;
-            Hashtbl.iter
-              (fun key h ->
-                let rep = Hashtbl.find best key in
-                let entries = Hashtbl.fold (fun p l acc -> (p, l) :: acc) h [] in
-                stored.(level - 1).(rep) <- or_value entries)
-              occ);
-        j := !g1
-      done);
+  let st =
+    match config.range_search with
+    | Rs_tree -> Some (Pti_suffix.Suffix_tree.build ~sa ~lcp ~text_len:n)
+    | Rs_binary | Rs_fm -> None
+  in
+  (* From here on [sa] and [lcp] are read from their storage views, so
+     the heap copies (and [text]) are garbage before the level tasks
+     allocate their scratch. *)
+  let sa = Bigarray.(Array1.of_array int c_layout sa) in
+  let lcp = Bigarray.(Array1.of_array int c_layout lcp) in
+  let max_short = Stdlib.max 1 (ceil_log2 (Stdlib.max 2 n)) in
+  let sa_s = S.I64 sa in
+  let pos_s = Transform.pos_storage tr in
+  let cum, zeros, _ = Pti_prob.Parray.raw (Transform.parray tr) in
+  let slot_value j len = slot_value_raw ~tr ~pos:pos_s ~sa:sa_s ~n j len in
+  let n_keys =
+    Array.fold_left
+      (fun m p -> if p < 0 then m else Stdlib.max m (key_of_pos p + 1))
+      0 pos
+  in
+  let n_levels = max_short in
   (* Blocking ladder for long patterns. *)
   let ladder_sizes =
     match config.ladder with
@@ -293,55 +280,125 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
             "Engine.build: Ladder_full is quadratic; refusing n > 16384";
         Array.init (Stdlib.max 0 (n - max_short)) (fun k -> max_short + 1 + k)
   in
-  (* Each ladder size costs O(n) slot probes and owns its output array,
-     so the per-size block maxima are computed in parallel too. *)
-  let ladder_max =
-    Par.parallel_map_array ?domains ~chunk:1
-      (fun s ->
-        let nb = (n + s - 1) / s in
-        Array.init nb (fun k ->
-            let lo = k * s and hi = Stdlib.min n ((k + 1) * s) - 1 in
-            let best = ref neg_infinity in
-            for j = lo to hi do
-              let v = slot_value j s in
-              if v > !best then best := v
-            done;
-            !best))
-      ladder_sizes
+  let n_ladder = Array.length ladder_sizes in
+  let is_or = match config.metric with Or_metric -> true | Max -> false in
+  let dead = Array.make n_levels (S.Bits.of_bytes Bytes.empty) in
+  let stored =
+    match config.metric with
+    | Max -> [||]
+    | Or_metric -> Array.make n_levels (S.Floats.of_array [||])
   in
-  let fm =
-    match config.range_search with
-    | Rs_fm -> Some (Pti_succinct.Fm_index.create ~sa text)
-    | Rs_binary | Rs_tree -> None
-  in
-  let st =
-    match config.range_search with
-    | Rs_tree -> Some (Pti_suffix.Suffix_tree.build ~sa ~lcp ~text_len:n)
-    | Rs_binary | Rs_fm -> None
-  in
-  let dead = Array.map S.Bits.of_bytes dead in
-  let stored = Array.map S.Floats.of_array stored in
-  let ladder_max = Array.map S.Floats.of_array ladder_max in
-  (* The per-level RMQ structures are mutually independent (each reads
-     only its own dead bitmap / stored array plus shared read-only
-     data), as are the per-size ladder RMQs, so both builds shard levels
-     across the domain pool. *)
   let level_value =
     make_level_value ~metric:config.metric ~dead ~stored ~slot_value
   in
-  let level_rmq =
-    Par.parallel_map_array ?domains ~chunk:1
-      (fun k ->
-        Rmq.build_oracle config.rmq_kind ~value:(level_value (k + 1)) ~len:n)
-      (Array.init max_short (fun k -> k))
+  let level_rmq = Array.make n_levels None in
+  let ladder_max = Array.make n_ladder (S.Floats.of_array [||]) in
+  let ladder_rmq = Array.make n_ladder None in
+  (* Level [level]: one position-order pass fills the window values;
+     one sweep over each depth-[level] lcp-group keeps one
+     representative slot per key (Algorithm 3's duplicate elimination
+     in C_i: the leftmost slot of maximal value); the level RMQ is built
+     over the surviving values by slot, then rebound to [level_value],
+     the oracle queries read. *)
+  let build_level sc level =
+    let { w; vs; stamp; best; occ; _ } = sc in
+    fill_windows ~tr ~pos ~cum ~zeros level w;
+    let dl = Bytes.make ((n + 7) / 8) '\000' in
+    if is_or then begin
+      let st = Bigarray.(Array1.create float64 c_layout n) in
+      Bigarray.Array1.fill st neg_infinity;
+      stored.(level - 1) <- st
+    end;
+    let j = ref 0 in
+    while !j < n do
+      let g0 = !j in
+      let g1 = ref (g0 + 1) in
+      while !g1 < n && lcp.{!g1} >= level do
+        incr g1
+      done;
+      sc.group <- sc.group + 1;
+      let g = sc.group in
+      for s = g0 to !g1 - 1 do
+        let a = sa.{s} in
+        let v = w.{a} in
+        vs.{s} <- v;
+        if v = neg_infinity then bit_set dl s
+        else begin
+          let key = key_of_pos pos.(a) in
+          if stamp.(key) <> g then begin
+            stamp.(key) <- g;
+            best.(key) <- s;
+            if is_or then Hashtbl.reset occ.(key)
+          end
+          else begin
+            let b = best.(key) in
+            let keep_new = v > vs.{b} in
+            if keep_new then best.(key) <- s;
+            if not is_or then begin
+              let loser = if keep_new then b else s in
+              bit_set dl loser;
+              vs.{loser} <- neg_infinity
+            end
+          end;
+          if is_or then or_entry occ.(key) pos.(a) v
+        end
+      done;
+      (* OR: per key, combine over the key's distinct positions and
+         store the result at the representative slot *)
+      if is_or then
+        for s = g0 to !g1 - 1 do
+          let key = if vs.{s} = neg_infinity then -1 else key_of_pos pos.(sa.{s}) in
+          if key >= 0 && best.(key) = s then
+            stored.(level - 1).{s} <-
+              or_value (Hashtbl.fold (fun p l acc -> (p, l) :: acc) occ.(key) [])
+        done;
+      j := !g1
+    done;
+    dead.(level - 1) <- S.Bits.of_bytes dl;
+    let value = S.Floats.get (if is_or then stored.(level - 1) else vs) in
+    let rmq = Rmq.build_oracle config.rmq_kind ~value ~len:n in
+    level_rmq.(level - 1) <- Some (Rmq.rebind rmq ~value:(level_value level))
   in
-  let ladder_rmq =
-    Par.parallel_map_array ?domains ~chunk:1
-      (fun pb ->
-        Rmq.build_oracle config.rmq_kind ~value:(S.Floats.get pb)
-          ~len:(S.Floats.length pb))
-      ladder_max
+  (* Ladder size [s]: the maximum window value of each block of [s]
+     consecutive slots, and an RMQ over those maxima. *)
+  let build_ladder sc i =
+    let s = ladder_sizes.(i) in
+    fill_windows ~tr ~pos ~cum ~zeros s sc.w;
+    let pb =
+      S.Floats.of_array
+        (Array.init ((n + s - 1) / s) (fun k ->
+             let mx = ref neg_infinity in
+             for j = k * s to Stdlib.min n ((k + 1) * s) - 1 do
+               let v = sc.w.{sa.{j}} in
+               if v > !mx then mx := v
+             done;
+             !mx))
+    in
+    ladder_max.(i) <- pb;
+    ladder_rmq.(i) <-
+      Some
+        (Rmq.build_oracle config.rmq_kind ~value:(S.Floats.get pb)
+           ~len:(S.Floats.length pb))
   in
+  (* Levels and ladder sizes are mutually independent — each reads only
+     shared immutable data (sa, lcp, pos, the transform) and writes only
+     its own slots of the result arrays — so they are sharded across the
+     domain pool, one task each, on per-domain scratch. *)
+  Par.parallel_for_init ?domains ~chunk:1 ~start:1 ~finish:(n_levels + n_ladder)
+    ~init:(fun () ->
+      {
+        w = Bigarray.(Array1.create float64 c_layout n);
+        vs = Bigarray.(Array1.create float64 c_layout n);
+        stamp = Array.make n_keys (-1);
+        best = Array.make n_keys 0;
+        group = -1;
+        occ = Array.init (if is_or then n_keys else 0) (fun _ -> Hashtbl.create 1);
+      })
+    (fun sc task ->
+      if task <= n_levels then build_level sc task
+      else build_ladder sc (task - n_levels - 1));
+  let level_rmq = Array.map Option.get level_rmq in
+  let ladder_rmq = Array.map Option.get ladder_rmq in
   {
     tr;
     cfg = config;
@@ -350,7 +407,7 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
     text = Transform.text_storage tr;
     pos = pos_s;
     sa = sa_s;
-    lcp = S.Ints.of_array lcp;
+    lcp = S.I64 lcp;
     n;
     max_short;
     dead;

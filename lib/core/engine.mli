@@ -93,18 +93,22 @@ val build :
     restored by {!load}.
 
     [key_of_pos] maps an original uncertain-string position to the
-    output key; it must be total on positions occurring in the
-    transform. It may be called concurrently from several domains and
-    must be pure (every supplied key function is a plain array/identity
-    lookup).
+    output key, a non-negative int (construction deduplicates in arrays
+    indexed by key, so keys should be dense: positions or document
+    ids); it must be total on positions occurring in the transform. It
+    may be called concurrently from several domains and must be pure
+    (every supplied key function is a plain array/identity lookup).
 
     [?domains] sets the construction parallelism (default:
     [Pti_parallel.num_domains ()], i.e. [PTI_DOMAINS] or the hardware
-    count). The per-level duplicate-elimination sweeps, the ladder block
-    maxima and the per-level RMQ builds run one level per domain; the
-    result is byte-identical for every domain count because each level
-    owns its outputs outright. [domains:1] runs the exact sequential
-    code path. *)
+    count). After the suffix and LCP arrays, construction is one task
+    per level and one per ladder size, spread over the domains: a level
+    task computes its window values once, in text order, deduplicates
+    its lcp-groups and builds its RMQ from those values; a ladder task
+    computes its block maxima and their RMQ. The result is
+    byte-identical for every domain count because each task owns its
+    outputs outright. [domains:1] runs the exact sequential code
+    path. *)
 
 val transform : t -> Pti_transform.Transform.t
 val config : t -> config
