@@ -15,50 +15,6 @@ type t = {
   relevance : relevance;
 }
 
-let build ?(rmq_kind = Pti_rmq.Rmq.Succinct) ?(ladder = Engine.Ladder_geometric)
-    ?(relevance = Rel_max) ?backend ?domains ?max_text_len ~tau_min docs =
-  if docs = [] then invalid_arg "Listing_index.build: empty collection";
-  List.iteri
-    (fun k d ->
-      if Ustring.length d = 0 then
-        invalid_arg (Printf.sprintf "Listing_index.build: empty document %d" k))
-    docs;
-  let concatenated, starts = Ustring.concat ~sep:(Some Sym.separator) docs in
-  let total = Ustring.length concatenated in
-  (* Map original (concatenated) positions to document ids. *)
-  let doc_of = Array.make total (-1) in
-  let n_docs = Array.length starts in
-  List.iteri
-    (fun k d ->
-      let s = starts.(k) in
-      for i = s to s + Ustring.length d - 1 do
-        doc_of.(i) <- k
-      done)
-    docs;
-  ignore n_docs;
-  let tr = Transform.build ?max_text_len ~tau_min concatenated in
-  let metric =
-    match relevance with Rel_max -> Engine.Max | Rel_or -> Engine.Or_metric
-  in
-  let config = { Engine.default_config with rmq_kind; ladder; metric } in
-  let engine =
-    Engine.build ~config ?backend ?domains ~key_of_pos:(fun p -> doc_of.(p)) tr
-  in
-  let docs = Array.of_list docs in
-  { engine; docs = Lazy.from_val docs; n_docs = Array.length docs; relevance }
-
-let n_docs t = t.n_docs
-let doc t k = (Lazy.force t.docs).(k)
-let query t ~pattern ~tau = Engine.query t.engine ~pattern ~tau
-let query_string t ~pattern ~tau = query t ~pattern:(Sym.of_string pattern) ~tau
-let count t ~pattern ~tau = Engine.count t.engine ~pattern ~tau
-let stream t ~pattern ~tau = Engine.stream t.engine ~pattern ~tau
-let query_top_k t ~pattern ~tau ~k = Engine.query_top_k t.engine ~pattern ~tau ~k
-let relevance t = t.relevance
-let engine t = t.engine
-let size_words t = Engine.size_words t.engine
-let size_bytes t = Engine.size_bytes t.engine
-
 (* The engine's key function maps original (concatenated) positions to
    document ids; [save] persists it as "listing.doc_of". *)
 let doc_map docs =
@@ -77,6 +33,39 @@ let doc_map docs =
       done)
     docs;
   doc_of
+
+let build ?(rmq_kind = Pti_rmq.Rmq.Succinct) ?(ladder = Engine.Ladder_geometric)
+    ?(relevance = Rel_max) ?backend ?domains ?max_text_len ~tau_min docs =
+  if docs = [] then invalid_arg "Listing_index.build: empty collection";
+  List.iteri
+    (fun k d ->
+      if Ustring.length d = 0 then
+        invalid_arg (Printf.sprintf "Listing_index.build: empty document %d" k))
+    docs;
+  let concatenated, _ = Ustring.concat ~sep:(Some Sym.separator) docs in
+  let docs = Array.of_list docs in
+  let doc_of = doc_map docs in
+  let tr = Transform.build ?max_text_len ~tau_min concatenated in
+  let metric =
+    match relevance with Rel_max -> Engine.Max | Rel_or -> Engine.Or_metric
+  in
+  let config = { Engine.default_config with rmq_kind; ladder; metric } in
+  let engine =
+    Engine.build ~config ?backend ?domains ~key_of_pos:(fun p -> doc_of.(p)) tr
+  in
+  { engine; docs = Lazy.from_val docs; n_docs = Array.length docs; relevance }
+
+let n_docs t = t.n_docs
+let doc t k = (Lazy.force t.docs).(k)
+let query t ~pattern ~tau = Engine.query t.engine ~pattern ~tau
+let query_string t ~pattern ~tau = query t ~pattern:(Sym.of_string pattern) ~tau
+let count t ~pattern ~tau = Engine.count t.engine ~pattern ~tau
+let stream t ~pattern ~tau = Engine.stream t.engine ~pattern ~tau
+let query_top_k t ~pattern ~tau ~k = Engine.query_top_k t.engine ~pattern ~tau ~k
+let relevance t = t.relevance
+let engine t = t.engine
+let size_words t = Engine.size_words t.engine
+let size_bytes t = Engine.size_bytes t.engine
 
 (* Listing-owned sections of the engine container: the relevance metric
    and document count ("listing.meta"), the original-position → document
